@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -63,7 +62,10 @@ def _matrix_from_literal(node, n: int, path: str) -> np.ndarray:
             )
             if not ok:
                 raise DocumentError(f"{path}[{i}][{j}]", "expected a two-number array [re, im]")
-            out[i, j] = complex(entry[0], entry[1])
+            try:
+                out[i, j] = complex(entry[0], entry[1])
+            except OverflowError:
+                raise DocumentError(f"{path}[{i}][{j}]", "number too large for a float") from None
     return out
 
 
@@ -278,7 +280,7 @@ def cmd_radius_search(args) -> int:
         seed=args.seed,
         simplex_tol=args.simplex_tol,
     )
-    estimate = search(cfg, threads=max(1, args.threads))
+    estimate = search(cfg)
     if args.output:
         save_instance(estimate.instance, args.output)
 
@@ -416,8 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--threads",
         type=int,
-        default=os.cpu_count() or 1,
-        help="worker threads for search restarts",
+        default=1,
+        help="ignored; search restarts run one after another (kept so old command lines work)",
     )
 
     parser = _Parser(prog="bohrlab", description=__doc__)

@@ -2,8 +2,8 @@
 
 Everything downstream (hypothesis checks, witness families, extremal
 search) works with plain square ``numpy`` arrays of ``complex128``.
-Hermitian eigenvalues are computed by a cyclic Jacobi sweep; singular
-values (operator and trace norms) go through LAPACK.
+Hermitian eigenvalues and singular values (operator and trace norms)
+both go through LAPACK.
 """
 
 from __future__ import annotations
@@ -11,9 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 DEFAULT_TOL = 1e-10
-
-_JACOBI_SWEEP_LIMIT = 100
-_JACOBI_OFF_FACTOR = 1e-14
 
 
 class NotHermitianError(ValueError):
@@ -72,62 +69,6 @@ def _require_hermitian(a: np.ndarray, tol: float, name: str) -> None:
         raise NotHermitianError(f"{name} deviates from Hermitian by {dev:.3e}")
 
 
-def _jacobi_eigh(h: np.ndarray, want_vectors: bool = False):
-    """Cyclic Jacobi diagonalization of a Hermitian matrix.
-
-    Sweeps row pairs until the off-diagonal Frobenius norm drops below
-    1e-14 * ||h||_F, capped at 100 sweeps.  Returns eigenvalues in
-    nonincreasing order (and the matching unitary columns on request).
-    """
-    a = np.array((h + h.conj().T) / 2.0, dtype=np.complex128)
-    n = a.shape[0]
-    v = np.eye(n, dtype=np.complex128) if want_vectors else None
-    threshold = _JACOBI_OFF_FACTOR * float(np.linalg.norm(a))
-    for _ in range(_JACOBI_SWEEP_LIMIT):
-        off = np.linalg.norm(a - np.diag(np.diag(a)))
-        if off <= threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                g = a[p, q]
-                absg = abs(g)
-                if absg == 0.0:
-                    continue
-                phase = g / absg
-                alpha = a[p, p].real
-                beta = a[q, q].real
-                tau = (beta - alpha) / (2.0 * absg)
-                sign = 1.0 if tau >= 0.0 else -1.0
-                t = sign / (abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                # unitary block: U_pp = c*phase, U_pq = s*phase, U_qp = -s, U_qq = c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * phase * col_p - s * col_q
-                a[:, q] = s * phase * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * np.conj(phase) * row_p - s * row_q
-                a[q, :] = s * np.conj(phase) * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                if v is not None:
-                    vp = v[:, p].copy()
-                    vq = v[:, q].copy()
-                    v[:, p] = c * phase * vp - s * vq
-                    v[:, q] = s * phase * vp + c * vq
-    else:
-        raise RuntimeError("Jacobi sweep limit reached without convergence")
-    values = np.diag(a).real
-    order = np.argsort(values)[::-1]
-    if v is not None:
-        return values[order], v[:, order]
-    return values[order], None
-
-
 def hermitian_eigenvalues(h: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, sorted nonincreasing.
 
@@ -136,15 +77,16 @@ def hermitian_eigenvalues(h: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray
     """
     h = np.asarray(h, dtype=np.complex128)
     _require_hermitian(h, tol, "h")
-    values, _ = _jacobi_eigh(h)
-    return values
+    # eigvalsh reads one triangle only, so hand it the Hermitian part
+    return np.linalg.eigvalsh((h + h.conj().T) / 2.0)[::-1]
 
 
 def hermitian_eigensystem(h: np.ndarray, tol: float = DEFAULT_TOL):
     """Eigenvalues (nonincreasing) and matching orthonormal eigenvectors."""
     h = np.asarray(h, dtype=np.complex128)
     _require_hermitian(h, tol, "h")
-    return _jacobi_eigh(h, want_vectors=True)
+    values, vectors = np.linalg.eigh((h + h.conj().T) / 2.0)
+    return values[::-1], vectors[:, ::-1]
 
 
 def singular_values(a: np.ndarray) -> np.ndarray:

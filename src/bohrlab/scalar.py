@@ -14,10 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import RadiusOutOfRangeError
-
-_BISECT_UPPER = 1.0 - 1e-12
-_BISECT_MAX_ITERS = 200
+from .series import AlphaSeries, bohr_sum, critical_radius
 
 
 @dataclass(frozen=True)
@@ -54,21 +51,29 @@ def moebius_series(a: float) -> CoeffSeries:
     return CoeffSeries((a,), (-(1.0 - a * a), a))
 
 
+def _majorant(s: CoeffSeries) -> AlphaSeries:
+    """The magnitudes |a_k| as a majorant series with ratio |rho|.
+
+    Without listed coefficients the tail itself starts at index 0, so
+    its first term becomes alpha_0 and the rest a tail from index 1.
+    """
+    mags = [abs(c) for c in s.coeffs]
+    tail, ratio = 0.0, 1.0
+    if s.tail is not None:
+        c, rho = s.tail
+        tail, ratio = abs(c), abs(rho)
+        if not mags:
+            mags, tail = [tail], tail * ratio
+    return AlphaSeries(mags[0] if mags else 0.0, tuple(mags[1:]), tail, ratio)
+
+
 def scalar_bohr_sum(s: CoeffSeries, r: float) -> float:
     """Majorant sum sum_k |a_k| r^k at radius r in [0, 1).
 
     The geometric tail contributes |c| r^m0 / (1 - |rho| r) with m0 the
     first tail index.
     """
-    if not (0.0 <= r < 1.0):
-        raise RadiusOutOfRangeError(f"r must lie in [0, 1), got {r}")
-    total = sum(abs(c) * r**k for k, c in enumerate(s.coeffs))
-    if s.tail is not None:
-        c, rho = s.tail
-        if c != 0:
-            m0 = len(s.coeffs)
-            total += abs(c) * r**m0 / (1.0 - abs(rho) * r)
-    return float(total)
+    return bohr_sum(_majorant(s), r)
 
 
 def sup_norm_estimate(s: CoeffSeries, gridpoints: int = 4096) -> float:
@@ -113,24 +118,7 @@ def classical_verify(
 def crossing_radius(s: CoeffSeries, budget: float, tol: float = 1e-12) -> float:
     """sup{ r in [0,1) : scalar_bohr_sum(s, r) <= budget }, by bisection.
 
-    Returns 1.0 when the sum never exceeds the budget on [0, 1); the
-    sum is nondecreasing in r, so bisection localizes the threshold to
-    within tol.
+    Returns 1.0 when the sum never exceeds the budget on [0, 1); raises
+    BudgetBelowAlpha0Error when it already does at r = 0.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if scalar_bohr_sum(s, 0.0) > budget:
-        raise ValueError(f"budget {budget} is already exceeded at r = 0")
-    hi = _BISECT_UPPER
-    if scalar_bohr_sum(s, hi) <= budget:
-        return 1.0
-    lo = 0.0
-    iters = 0
-    while hi - lo > tol and iters < _BISECT_MAX_ITERS:
-        mid = 0.5 * (lo + hi)
-        if scalar_bohr_sum(s, mid) <= budget:
-            lo = mid
-        else:
-            hi = mid
-        iters += 1
-    return 0.5 * (lo + hi)
+    return critical_radius(_majorant(s), budget, tol)

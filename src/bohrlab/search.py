@@ -7,17 +7,18 @@ L (PSD by construction) and rescaling M into the unit ball makes the
 feasible set the whole parameter space, so plain unconstrained descent
 applies.  For an instance materialized from (P, M) the critical radius
 has the closed form D/(D + |alpha|) with D = Tr(P) and alpha the pairing
-of the induced A with M, which is what the search minimizes.
+of the induced A with M, which is what the search minimizes.  Restarts
+run one after another in index order, each from its own seeded start.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, as_complex_matrix, hermitian_eigenvalues, max_abs, operator_norm
+from .hypotheses import check_theorem_hypotheses
+from .linalg import DEFAULT_TOL, as_complex_matrix, max_abs, operator_norm
 from .series import BohrInstance, SequenceSpec
 
 
@@ -88,7 +89,8 @@ def _indices(n: int):
 
 
 def _split(n: int, v) -> tuple[np.ndarray, np.ndarray]:
-    """(L, M_raw) from the flat real vector; M_raw not yet rescaled.
+    """(L, m) from the flat real vector: the factor L and the complex
+    strictly-upper entries m of M (row-major, not yet rescaled).
 
     Layout: v[:n] is the real diagonal of L; v[n:n^2] the strictly-lower
     entries of L as (re, im) pairs in row-major order; the remaining
@@ -99,15 +101,19 @@ def _split(n: int, v) -> tuple[np.ndarray, np.ndarray]:
         raise BadLengthError(
             f"expected a flat vector of length {dimension(n)} for n = {n}, got shape {v.shape}"
         )
-    lower, upper, diag = _indices(n)
+    lower, _, diag = _indices(n)
     lo = v[n : n * n]
     mu = v[n * n :]
     L = np.zeros((n, n), dtype=np.complex128)
     L[diag] = v[:n]
     L[lower] = lo[0::2] + 1j * lo[1::2]
+    return L, mu[0::2] + 1j * mu[1::2]
+
+
+def _upper_matrix(n: int, m: np.ndarray) -> np.ndarray:
     M = np.zeros((n, n), dtype=np.complex128)
-    M[upper] = mu[0::2] + 1j * mu[1::2]
-    return L, M
+    M[_indices(n)[1]] = m
+    return M
 
 
 def parameterize(n: int, v) -> Parameterization:
@@ -116,8 +122,9 @@ def parameterize(n: int, v) -> Parameterization:
     P = L L* is PSD for every input; M is rescaled by 1/max(1, ||M||)
     so it is always a contraction.
     """
-    L, M = _split(n, v)
+    L, m = _split(n, v)
     P = L @ L.conj().T
+    M = _upper_matrix(n, m)
     M = M / max(1.0, operator_norm(M))
     return Parameterization(P, M)
 
@@ -134,30 +141,17 @@ def objective(n: int, v) -> float:
     singular value decomposition whenever the Frobenius norm already
     certifies ||M|| <= 1.
     """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size != dimension(n):
-        raise BadLengthError(
-            f"expected a flat vector of length {dimension(n)} for n = {n}, got shape {v.shape}"
-        )
-    lower, upper, diag = _indices(n)
-    vL = v[: n * n]
-    mu = v[n * n :]
-    m_entries = mu[0::2] + 1j * mu[1::2]
-    fro2 = float(np.vdot(m_entries, m_entries).real)
+    L, m = _split(n, v)
+    fro2 = float(np.vdot(m, m).real)
     if fro2 > 1.0:
-        M = np.zeros((n, n), dtype=np.complex128)
-        M[upper] = m_entries
-        scale = max(1.0, float(np.linalg.svd(M, compute_uv=False)[0]))
+        scale = max(1.0, float(np.linalg.svd(_upper_matrix(n, m), compute_uv=False)[0]))
     else:
         scale = 1.0
-    L = np.zeros((n, n), dtype=np.complex128)
-    L[diag] = vL[:n]
-    lo = vL[n:]
-    L[lower] = lo[0::2] + 1j * lo[1::2]
     P = L @ L.conj().T
-    mag = 2.0 * abs(np.vdot(m_entries, P[upper])) / scale
+    mag = 2.0 * abs(np.vdot(m, P[_indices(n)[1]])) / scale
     if mag == 0.0:
         return 1.0
+    vL = np.asarray(v, dtype=np.float64)[: n * n]
     D = float(vL @ vL)
     return D / (D + mag)
 
@@ -166,7 +160,11 @@ def materialize(n: int, P, M, tol: float = DEFAULT_TOL) -> BohrInstance:
     """Assemble the instance (A, S, constant M) realizing a pair (P, M).
 
     S carries the diagonal of P, A has zero diagonal and -2 P_ij above
-    it, so S - Re(A) reproduces P entrywise and Tr(A) = 0.
+    it, so S - Re(A) reproduces P entrywise and Tr(A) = 0.  The PSD and
+    contraction requirements are the theorem hypotheses gap_psd,
+    strictly_upper_sequence and sequence_norm of the assembled instance;
+    only Hermitian symmetry of P is checked here, since S - Re(A) is
+    rebuilt from the upper triangle alone.
     """
     P = as_complex_matrix(P, "P")
     M = as_complex_matrix(M, "M")
@@ -174,17 +172,20 @@ def materialize(n: int, P, M, tol: float = DEFAULT_TOL) -> BohrInstance:
         raise BadLengthError(f"P and M must be {n}x{n}")
     if max_abs(P - P.conj().T) > tol * max(1.0, max_abs(P)):
         raise NotPSDError("P must be Hermitian")
-    eigs = hermitian_eigenvalues(0.5 * (P + P.conj().T))
-    if eigs.size and eigs[-1] < -tol * max(1.0, float(np.max(np.abs(eigs)))):
-        raise NotPSDError(f"P has a negative eigenvalue {eigs[-1]}")
-    if max_abs(np.tril(M)) > tol * max(1.0, max_abs(M)):
-        raise NotContractionError("M must be strictly upper triangular")
-    if operator_norm(M) > 1.0 + tol:
-        raise NotContractionError(f"M has operator norm {operator_norm(M)} > 1")
 
     s = np.diag(np.diagonal(P).real).astype(np.complex128)
     a = np.triu(-2.0 * P, 1)
-    return BohrInstance(a, s, SequenceSpec.constant(M), "theorem")
+    inst = BohrInstance(a, s, SequenceSpec.constant(M), "theorem")
+    report = check_theorem_hypotheses(inst, tol=tol)
+    gap = report.condition("gap_psd")
+    if not gap.passed:
+        raise NotPSDError(f"P has a negative eigenvalue {gap.slack}")
+    if not report.condition("strictly_upper_sequence").passed:
+        raise NotContractionError("M must be strictly upper triangular")
+    norm = report.condition("sequence_norm")
+    if not norm.passed:
+        raise NotContractionError(f"M has operator norm {1.0 - norm.slack} > 1")
+    return inst
 
 
 def _nelder_mead(fn, x0: np.ndarray, max_iters: int, simplex_tol: float):
@@ -282,20 +283,15 @@ def _run_restart(cfg: SearchConfig, index: int, eval_hook):
     return x, f, count
 
 
-def search(cfg: SearchConfig, threads: int = 1, eval_hook=None) -> RadiusEstimate:
+def search(cfg: SearchConfig, eval_hook=None) -> RadiusEstimate:
     """Minimize the critical radius over cfg.restarts independent descents.
 
-    Every restart draws its start from a generator seeded by
-    (cfg.seed, restart index), so the result does not depend on how the
-    restarts are scheduled; ties between restarts break toward the
-    lowest index.  eval_hook, when given, observes every objective value.
+    Restarts run one after another in index order.  Each draws its start
+    from a generator seeded by (cfg.seed, restart index), and ties
+    between restarts break toward the lowest index.  eval_hook, when
+    given, observes every objective value.
     """
-    indices = range(cfg.restarts)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda i: _run_restart(cfg, i, eval_hook), indices))
-    else:
-        results = [_run_restart(cfg, i, eval_hook) for i in indices]
+    results = [_run_restart(cfg, i, eval_hook) for i in range(cfg.restarts)]
 
     per_best = tuple(float(f) for _, f, _ in results)
     evaluations = int(sum(c for _, _, c in results))
@@ -306,26 +302,21 @@ def search(cfg: SearchConfig, threads: int = 1, eval_hook=None) -> RadiusEstimat
 
 
 def calculus_claim_oracle(grid: int) -> float:
-    """Brute-force minimum of (a^2+b^2+1)/(a u + a b sqrt((1-u^2)(1-w^2)) + b w).
+    """Grid minimum of (a^2+b^2+1)/(a u + a b sqrt((1-u^2)(1-w^2)) + b w).
 
-    a and b range over a log-spaced grid on [1e-2, 10], u and w over a
-    uniform grid on [0, 1].  The denominator is positive everywhere on
-    the grid, and the minimum stays above sqrt(2).
+    a and b range over a log-spaced grid on [1e-2, 10] and w over a
+    uniform grid on [0, 1]; u is maximized exactly over [0, 1], since
+    max_u a u + c sqrt(1-u^2) = sqrt(a^2 + c^2) for c >= 0.  The exact
+    maximum is at least any grid maximum over u, so this is the stricter
+    check.  The denominator is positive everywhere on the grid, and the
+    minimum stays above sqrt(2).
     """
     if grid < 10:
         raise ValueError(f"grid must be >= 10, got {grid}")
     ab = np.logspace(-2.0, 1.0, grid)
-    uw = np.linspace(0.0, 1.0, grid)
     a = ab[:, None, None]
     b = ab[None, :, None]
-    w = uw[None, None, :]
+    w = np.linspace(0.0, 1.0, grid)[None, None, :]
     num = (a * a + b * b + 1.0)[:, :, 0]
-    abprod = a * b
-    bw = (b * w)[0]
-    sw = np.sqrt(1.0 - w * w)
-    dmax = np.full((grid, grid), -np.inf)
-    for u in uw:
-        su = float(np.sqrt(1.0 - u * u))
-        den = a * u + abprod * (su * sw) + bw
-        np.maximum(dmax, den.max(axis=2), out=dmax)
+    dmax = (np.sqrt(a * a + a * a * b * b * (1.0 - w * w)) + b * w).max(axis=2)
     return float((num / dmax).min())

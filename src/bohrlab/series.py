@@ -76,13 +76,17 @@ class SequenceSpec:
 class AlphaSeries:
     """alpha_0 plus the magnitude sequence |alpha_m|, m >= 1.
 
-    ``magnitudes`` lists the leading terms explicitly; every later term
-    equals ``tail`` (0 for a series that terminates).
+    ``magnitudes`` lists the leading terms explicitly; the terms after
+    them form the geometric tail ``tail``, ``tail * ratio``, ...
+    (``tail`` 0 for a series that terminates).  A matrix series has a
+    constant tail, ratio 1; a scalar series with a geometric tail
+    c, c rho, ... has ratio |rho|.
     """
 
     alpha0: float
     magnitudes: tuple[float, ...] = ()
     tail: float = 0.0
+    ratio: float = 1.0
 
     def __post_init__(self):
         if not np.isfinite(self.alpha0):
@@ -95,6 +99,8 @@ class AlphaSeries:
             raise ValueError("magnitudes must be finite and >= 0")
         if not np.isfinite(self.tail) or self.tail < 0.0:
             raise ValueError(f"tail must be finite and >= 0, got {self.tail}")
+        if not (0.0 <= self.ratio <= 1.0):
+            raise ValueError(f"ratio must lie in [0, 1], got {self.ratio}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,7 +150,8 @@ def alpha_series(inst: BohrInstance, tol: float = DEFAULT_TOL) -> AlphaSeries:
 def bohr_sum(series: AlphaSeries, r: float) -> float:
     """Majorant sum alpha_0 + sum_{m>=1} |alpha_m| r^m at radius r in [0, 1).
 
-    The constant tail is summed in closed form, c r^m0 / (1 - r).
+    The geometric tail is summed in closed form, c r^m0 / (1 - ratio r),
+    with m0 its first index.
     """
     if not (0.0 <= r < 1.0):
         raise RadiusOutOfRangeError(f"r must lie in [0, 1), got {r}")
@@ -153,7 +160,7 @@ def bohr_sum(series: AlphaSeries, r: float) -> float:
         total += mag * r**m
     if series.tail > 0.0:
         m0 = len(series.magnitudes) + 1
-        total += series.tail * r**m0 / (1.0 - r)
+        total += series.tail * r**m0 / (1.0 - series.ratio * r)
     return float(total)
 
 

@@ -152,6 +152,16 @@ class TestVerifyCommand:
         assert main(["verify", str(path), "--r", "0.2"]) == EXIT_INPUT
         assert "line 1" in capsys.readouterr().err
 
+    def test_integer_beyond_float_range_exits_one(self, tmp_path, capsys):
+        doc = instance_to_document(general_witness(2))
+        doc["S"][0][0] = [10**400, 0]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path), "--r", "0.2"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "S[0][0]" in err
+        assert "Traceback" not in err
+
 
 class TestWitnessCommand:
     def test_general_family(self, capsys):

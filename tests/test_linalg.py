@@ -104,6 +104,22 @@ class TestEigenvalues:
         values = hermitian_eigenvalues(np.outer(v, v))
         assert np.allclose(values, [4.0, 0.0, 0.0], atol=1e-12)
 
+    def test_nearly_hermitian_uses_hermitian_part(self):
+        # eigvalsh reads one triangle; an asymmetry below tol must not
+        # leak in, so both routes see the Hermitian part
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            n = int(rng.integers(2, 9))
+            h = random_hermitian(rng, n)
+            skew = np.triu(random_complex(rng, n), 1)
+            near = h + 5e-11 * skew / max_abs(skew)
+            want = np.sort(np.linalg.eigvalsh(0.5 * (near + near.conj().T)))[::-1]
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert np.max(np.abs(hermitian_eigenvalues(near) - want)) <= 1e-12 * scale
+            values, vectors = hermitian_eigensystem(near)
+            assert np.max(np.abs(values - want)) <= 1e-12 * scale
+            assert max_abs(vectors.conj().T @ vectors - np.eye(n)) <= 1e-12
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
             hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -164,9 +180,10 @@ class TestNorms:
             assert tn >= abs(np.trace(a)) - 1e-10
             assert tn >= operator_norm(a) - 1e-12
 
-    def test_singular_values_against_jacobi_route(self):
-        # independent route: singular values are the square roots of the
-        # eigenvalues of A*A, computed by the in-house eigensolver
+    def test_singular_values_against_eigh_route(self):
+        # second route: singular values are the square roots of the
+        # eigenvalues of A*A, computed by the Hermitian eigensolver (eigh)
+        # rather than by the SVD
         rng = np.random.default_rng(7)
         for _ in range(60):
             n = int(rng.integers(1, 9))

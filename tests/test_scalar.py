@@ -67,6 +67,12 @@ class TestScalarSum:
         with pytest.raises(RadiusOutOfRangeError):
             scalar_bohr_sum(s, -0.1)
 
+    def test_bare_tail_starts_at_index_zero(self):
+        # no listed coefficients: a_k = c rho^k from k = 0, sum |c|/(1 - |rho| r)
+        s = CoeffSeries((), (-0.6, 0.5j))
+        for r in (0.0, 0.2, 0.5, 0.9):
+            assert abs(scalar_bohr_sum(s, r) - 0.6 / (1.0 - 0.5 * r)) <= 1e-15
+
     def test_polynomial_has_no_tail_contribution(self):
         s = CoeffSeries((1.0, 0.5, 0.25))
         r = 0.9
@@ -151,6 +157,10 @@ class TestCrossingRadius:
     def test_frozen_crossing_at_09(self):
         r = crossing_radius(moebius_series(0.9), 1.0)
         assert abs(r - 0.35714285714285715) <= 1e-9
+
+    def test_bare_tail_crossing(self):
+        # 0.6/(1 - 0.5 r) = 1 at r = 0.8
+        assert abs(crossing_radius(CoeffSeries((), (0.6, -0.5)), 1.0) - 0.8) <= 1e-11
 
     def test_never_crossing_returns_one(self):
         assert crossing_radius(CoeffSeries((0.25, 0.25)), 1.0) == 1.0
