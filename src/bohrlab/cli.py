@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -27,7 +28,7 @@ from .series import (
     check_inequality,
     critical_radius,
 )
-from .witnesses import general_witness, remark_parameters, remark_two_witness, three_by_three_witness
+from .witnesses import general_witness, remark_parameters, remark_two_witness, sine_witness
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -228,14 +229,19 @@ def cmd_verify(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    for flag, value, family in (("--n", args.n, "general-n"), ("--r-target", args.r_target, "remark-n2")):
+        if value is not None and args.family != family:
+            print(f"error: {flag} applies only to --family {family}", file=sys.stderr)
+            return EXIT_INPUT
     extra: list[str] = []
+    params: dict = {}
     if args.family == "general-n":
         if args.n is None:
             print("error: --family general-n requires --n", file=sys.stderr)
             return EXIT_INPUT
         inst = general_witness(args.n)
     elif args.family == "n3":
-        inst = three_by_three_witness()
+        inst = sine_witness(3)
     else:
         if args.r_target is None:
             print("error: --family remark-n2 requires --r-target", file=sys.stderr)
@@ -243,6 +249,7 @@ def cmd_witness(args) -> int:
         theta, k = remark_parameters(args.r_target)
         inst = remark_two_witness(args.r_target)
         extra = [f"theta: {_fmt(theta)}", f"k: {k}", f"violated at r: {_fmt(args.r_target)}"]
+        params = {"theta": theta, "k": k, "violated_at": args.r_target}
 
     tol = args.tol if args.tol is not None else DEFAULT_TOL
     report = check_hypotheses(inst, tol=tol)
@@ -257,10 +264,8 @@ def cmd_witness(args) -> int:
         "n": inst.order,
         "critical_radius": radius,
         "hypotheses": _report_json(report),
+        **params,
     }
-    if args.family == "remark-n2":
-        theta, k = remark_parameters(args.r_target)
-        payload.update({"theta": theta, "k": k, "violated_at": args.r_target})
 
     if args.format == "json":
         print(json.dumps(payload, indent=2))
@@ -369,6 +374,9 @@ def cmd_scalar(args) -> int:
         print("error: give exactly one of --moebius or --coeffs", file=sys.stderr)
         return EXIT_INPUT
     if args.moebius is not None:
+        if args.tail is not None:
+            print("error: --tail applies only to --coeffs", file=sys.stderr)
+            return EXIT_INPUT
         series = moebius_series(args.moebius)
     else:
         tail = None
@@ -399,6 +407,16 @@ def cmd_scalar(args) -> int:
     return EXIT_OK if result.holds else EXIT_VIOLATED
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     # input errors must exit 1; argparse's default usage-error code is 2,
     # which this interface reserves for "inequality violated"
@@ -409,7 +427,7 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
-    common.add_argument("--tol", type=float, default=None, help="numeric tolerance override")
+    common.add_argument("--tol", type=_tolerance, default=None, help="numeric tolerance override")
     common.add_argument("--output", default=None, help="write the machine-readable result here")
     common.add_argument(
         "--format", choices=("text", "json", "csv"), default="text", help="stdout format"

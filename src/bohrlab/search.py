@@ -19,7 +19,7 @@ import numpy as np
 
 from .hypotheses import check_theorem_hypotheses
 from .linalg import DEFAULT_TOL, as_complex_matrix, max_abs, operator_norm
-from .series import BohrInstance, SequenceSpec
+from .series import BohrInstance
 
 
 class BadLengthError(ValueError):
@@ -159,12 +159,11 @@ def objective(n: int, v) -> float:
 def materialize(n: int, P, M, tol: float = DEFAULT_TOL) -> BohrInstance:
     """Assemble the instance (A, S, constant M) realizing a pair (P, M).
 
-    S carries the diagonal of P, A has zero diagonal and -2 P_ij above
-    it, so S - Re(A) reproduces P entrywise and Tr(A) = 0.  The PSD and
-    contraction requirements are the theorem hypotheses gap_psd,
-    strictly_upper_sequence and sequence_norm of the assembled instance;
-    only Hermitian symmetry of P is checked here, since S - Re(A) is
-    rebuilt from the upper triangle alone.
+    The instance is BohrInstance.from_gap(P, M, 0), so S - Re(A) = P and
+    Tr(A) = 0.  The PSD and contraction requirements are the theorem
+    hypotheses gap_psd, strictly_upper_sequence and sequence_norm of the
+    assembled instance; only Hermitian symmetry of P is checked here,
+    since S - Re(A) is rebuilt from the upper triangle alone.
     """
     P = as_complex_matrix(P, "P")
     M = as_complex_matrix(M, "M")
@@ -173,9 +172,7 @@ def materialize(n: int, P, M, tol: float = DEFAULT_TOL) -> BohrInstance:
     if max_abs(P - P.conj().T) > tol * max(1.0, max_abs(P)):
         raise NotPSDError("P must be Hermitian")
 
-    s = np.diag(np.diagonal(P).real).astype(np.complex128)
-    a = np.triu(-2.0 * P, 1)
-    inst = BohrInstance(a, s, SequenceSpec.constant(M), "theorem")
+    inst = BohrInstance.from_gap(P, M, 0.0)
     report = check_theorem_hypotheses(inst, tol=tol)
     gap = report.condition("gap_psd")
     if not gap.passed:

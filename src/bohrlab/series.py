@@ -123,6 +123,21 @@ class BohrInstance:
         if self.seq.order is not None and self.seq.order != n:
             raise ValueError("sequence matrices must match the instance order")
 
+    @classmethod
+    def from_gap(cls, P, M, c: float) -> "BohrInstance":
+        """Theorem-mode instance whose gap S - Re(A) is the Hermitian P.
+
+        A = c I + (strictly upper part of -2P), S = c I + diag(Re P), and
+        the sequence repeats M.  With P = x x^T and M the shift (ones on
+        the superdiagonal) the critical radius is
+        |x|^2 / (|x|^2 + 2 sum_k x_k x_{k+1}), whatever c is.
+        """
+        P = np.asarray(P)
+        a = np.triu(-2.0 * P, 1)
+        a.flat[:: len(a) + 1] = c
+        s = np.diag(P.diagonal().real + c)
+        return cls(a, s, SequenceSpec.constant(M), "theorem")
+
     @property
     def order(self) -> int:
         return self.A.shape[0]

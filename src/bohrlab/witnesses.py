@@ -1,8 +1,10 @@
 """Canonical extremal instances and the zero-padding embedding.
 
 Three families.  The general family pins the critical radius at
-n/(3n-2) for every order n >= 2.  The 3x3 family sharpens that to
-sqrt(2)-1.  The remark family produces 2x2 relaxed-mode instances that
+n/(3n-2) for every order n >= 2.  The sine family reaches the order-n
+minimum 1/(1 + 2 cos(pi/(n+1))): 1/2 at n = 2 and sqrt(2)-1 at n = 3.
+Both are BohrInstance.from_gap with a rank-one gap and the shift as the
+sequence.  The remark family produces 2x2 relaxed-mode instances that
 break the inequality at any requested radius above 1/3, showing 1/3
 cannot be improved once triangularity is dropped.
 """
@@ -10,14 +12,10 @@ cannot be improved once triangularity is dropped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
 from .series import BohrInstance, SequenceSpec
-
-FAMILY_IDS = ("general_n", "three_by_three", "remark_n2")
 
 
 class InvalidOrderError(ValueError):
@@ -32,45 +30,44 @@ class ShrinkNotAllowedError(ValueError):
     """Embedding must not reduce the order."""
 
 
-def _superdiagonal_ones(n: int) -> np.ndarray:
-    return np.eye(n, k=1, dtype=np.complex128)
+def _check_order(n) -> int:
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        raise InvalidOrderError(f"n must be an integer, got {n!r}")
+    if n < 2:
+        raise InvalidOrderError(f"n must be >= 2, got {n}")
+    return int(n)
 
 
 def general_witness(n: int) -> BohrInstance:
     """Order-n instance with critical radius exactly n/(3n-2).
 
-    A has 1 on the diagonal and -2 strictly above, S = 2I, and the
-    sequence repeats the superdiagonal-ones shift.  Then Tr(A) = n,
-    Tr(S) = 2n, every |alpha_m| = 2(n-1), and S - Re(A) is the all-ones
-    matrix (PSD of rank one).
+    The gap is the all-ones matrix and c = 1, so A has 1 on the diagonal
+    and -2 strictly above, S = 2I, and the sequence repeats the shift.
+    Then Tr(S) = 2n and every |alpha_m| = 2(n-1).
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise InvalidOrderError(f"n must be an integer, got {n!r}")
-    if n < 2:
-        raise InvalidOrderError(f"n must be >= 2, got {n}")
-    n = int(n)
-    a = np.eye(n, dtype=np.complex128) - 2.0 * np.triu(np.ones((n, n), dtype=np.complex128), 1)
-    s = 2.0 * np.eye(n, dtype=np.complex128)
-    return BohrInstance(a, s, SequenceSpec.constant(_superdiagonal_ones(n)), "theorem")
+    n = _check_order(n)
+    return BohrInstance.from_gap(np.ones((n, n)), np.eye(n, k=1), 1.0)
 
 
-def three_by_three_witness() -> BohrInstance:
-    """The 3x3 instance whose critical radius is sqrt(2)-1.
+def sine_witness(n: int) -> BohrInstance:
+    """Order-n instance with critical radius 1/(1 + 2 cos(pi/(n+1))).
 
-    S - Re(A) is the rank-one outer product of (1, sqrt(2), 1); the
-    majorant sum 6 + 4 sqrt(2) r/(1-r) meets Tr(S) = 10 at r = sqrt(2)-1.
+    The gap is x x^T with x_k = sin(k pi/(n+1))/sin(pi/(n+1)), c = 2,
+    and the sequence repeats the shift.  x is the top eigenvector of the
+    shift's real part, so sum_k x_k x_{k+1} / |x|^2 = cos(pi/(n+1)), the
+    largest numerical radius of a strictly upper contraction of order n
+    (Haagerup and de la Harpe, Proc. AMS 115 (1992)).  The recurrence
+    x_{k+1} = 2 cos(pi/(n+1)) x_k - x_{k-1} from x_0 = 0, x_1 = 1 fills
+    the first half and the mirror x_{n+1-k} = x_k the rest, so n = 3
+    gives exactly (1, sqrt(2), 1) and the radius sqrt(2)-1.
     """
-    rt2 = math.sqrt(2.0)
-    a = np.array(
-        [
-            [2.0, -2.0 * rt2, -2.0],
-            [0.0, 2.0, -2.0 * rt2],
-            [0.0, 0.0, 2.0],
-        ],
-        dtype=np.complex128,
-    )
-    s = np.diag([3.0, 4.0, 3.0]).astype(np.complex128)
-    return BohrInstance(a, s, SequenceSpec.constant(_superdiagonal_ones(3)), "theorem")
+    n = _check_order(n)
+    t = 2.0 * math.cos(math.pi / (n + 1))
+    x = [0.0, 1.0]
+    while len(x) <= (n + 1) // 2:
+        x.append(t * x[-1] - x[-2])
+    x = np.array(x[1:] + x[n // 2 : 0 : -1])
+    return BohrInstance.from_gap(np.outer(x, x), np.eye(n, k=1), 2.0)
 
 
 def remark_parameters(r_target: float) -> tuple[float, int]:
@@ -140,32 +137,3 @@ def embed(inst: BohrInstance, big: int) -> BohrInstance:
         return inst
     seq = SequenceSpec(inst.seq.kind, tuple(_pad(m, big) for m in inst.seq.matrices))
     return BohrInstance(_pad(inst.A, big), _pad(inst.S, big), seq, inst.mode)
-
-
-@dataclass(frozen=True)
-class WitnessFamily:
-    """Descriptor naming a family and its parameters; build() assembles it."""
-
-    id: str
-    params: dict[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.id not in FAMILY_IDS:
-            raise ValueError(f"unknown family {self.id!r}, expected one of {FAMILY_IDS}")
-        if self.id == "general_n":
-            n = self.params.get("n")
-            if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 2:
-                raise InvalidOrderError(f"general_n requires integer n >= 2, got {n!r}")
-        elif self.id == "remark_n2":
-            r_target = self.params.get("r_target")
-            if r_target is None or not (1.0 / 3.0 < float(r_target) < 1.0):
-                raise RadiusNotAboveOneThirdError(
-                    f"remark_n2 requires r_target in (1/3, 1), got {r_target!r}"
-                )
-
-    def build(self) -> BohrInstance:
-        if self.id == "general_n":
-            return general_witness(int(self.params["n"]))
-        if self.id == "three_by_three":
-            return three_by_three_witness()
-        return remark_two_witness(float(self.params["r_target"]))

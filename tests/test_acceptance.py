@@ -16,7 +16,7 @@ from bohrlab.linalg import operator_norm, trace_norm
 from bohrlab.scalar import classical_verify, crossing_radius, moebius_series, scalar_bohr_sum
 from bohrlab.search import SearchConfig, calculus_claim_oracle, materialize, search
 from bohrlab.series import BohrInstance, alpha_series, check_inequality, critical_radius
-from bohrlab.witnesses import embed, general_witness, remark_two_witness, three_by_three_witness
+from bohrlab.witnesses import embed, general_witness, remark_two_witness, sine_witness
 
 SQRT2 = math.sqrt(2.0)
 ONE_THIRD = 1.0 / 3.0
@@ -42,7 +42,7 @@ def test_criterion_01_staircase_radii(criterion):
 
 def test_criterion_02_order_three_sharpness(criterion):
     with criterion(2, "order-3 witness radius sqrt(2)-1, violated just above", 1.0):
-        inst = three_by_three_witness()
+        inst = sine_witness(3)
         assert abs(instance_radius(inst) - (SQRT2 - 1.0)) <= 1e-9
         assert not check_inequality(inst, SQRT2 - 1.0 + 1e-6).holds
 

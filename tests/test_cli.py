@@ -19,7 +19,7 @@ from bohrlab.cli import (
     save_instance,
 )
 from bohrlab.series import BohrInstance, SequenceSpec
-from bohrlab.witnesses import general_witness, remark_two_witness, three_by_three_witness
+from bohrlab.witnesses import general_witness, remark_two_witness, sine_witness
 
 SQRT2 = math.sqrt(2.0)
 
@@ -32,7 +32,7 @@ def write_instance(tmp_path, inst, name="instance.json"):
 
 class TestDocuments:
     def test_round_trip_is_exact(self, tmp_path):
-        for inst in (general_witness(4), three_by_three_witness(), remark_two_witness(0.4)):
+        for inst in (general_witness(4), sine_witness(3), remark_two_witness(0.4)):
             path = write_instance(tmp_path, inst)
             back = load_instance(path)
             assert back.mode == inst.mode
@@ -120,7 +120,7 @@ class TestVerifyCommand:
         capsys.readouterr()
 
     def test_json_payload(self, tmp_path, capsys):
-        path = write_instance(tmp_path, three_by_three_witness())
+        path = write_instance(tmp_path, sine_witness(3))
         code = main(["verify", path, "--r", "0.41", "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
         assert code == EXIT_OK
@@ -340,3 +340,47 @@ class TestArgumentErrors:
                 main(argv)
             assert exc.value.code == EXIT_INPUT
             capsys.readouterr()
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-0.5", "abc"])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tmp_path, capsys, tol):
+        path = write_instance(tmp_path, general_witness(3))
+        for argv in (
+            ["verify", path, "--r", "0.3"],
+            ["scalar", "--moebius", "0.5", "--r", "0.3"],
+            ["witness", "--family", "n3"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--tol", tol])
+            assert exc.value.code == EXIT_INPUT
+            assert "--tol" in capsys.readouterr().err
+
+    def test_zero_tolerance_is_the_strict_setting(self, tmp_path, capsys):
+        path = write_instance(tmp_path, general_witness(3))
+        assert main(["verify", path, "--r", "0.3", "--tol", "0"]) != EXIT_INPUT
+        assert main(["scalar", "--moebius", "0.5", "--r", "0.3", "--tol", "0"]) == EXIT_OK
+        assert main(["witness", "--family", "n3", "--tol", "0"]) == EXIT_OK
+        capsys.readouterr()
+
+    def test_order_flag_rejected_for_order_three_family(self, capsys):
+        assert main(["witness", "--family", "n3", "--n", "7"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "--n" in captured.err
+        assert captured.out == ""
+
+    def test_order_flag_rejected_for_remark_family(self, capsys):
+        argv = ["witness", "--family", "remark-n2", "--r-target", "0.4", "--n", "2"]
+        assert main(argv) == EXIT_INPUT
+        assert "--n" in capsys.readouterr().err
+
+    def test_target_flag_rejected_outside_remark_family(self, capsys):
+        for argv in (
+            ["witness", "--family", "general-n", "--n", "3", "--r-target", "0.4"],
+            ["witness", "--family", "n3", "--r-target", "0.4"],
+        ):
+            assert main(argv) == EXIT_INPUT
+            assert "--r-target" in capsys.readouterr().err
+
+    def test_tail_flag_rejected_with_moebius(self, capsys):
+        argv = ["scalar", "--moebius", "0.5", "--tail", "1", "0.5", "--r", "0.2"]
+        assert main(argv) == EXIT_INPUT
+        assert "--tail" in capsys.readouterr().err

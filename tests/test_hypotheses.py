@@ -13,7 +13,7 @@ from bohrlab.hypotheses import (
     orthogonality_check,
 )
 from bohrlab.series import BohrInstance, SequenceSpec
-from bohrlab.witnesses import general_witness, remark_two_witness, three_by_three_witness
+from bohrlab.witnesses import general_witness, remark_two_witness, sine_witness
 
 
 def random_upper(rng, n, strict=False):
@@ -76,7 +76,7 @@ class TestTheoremMode:
             assert all(c.slack >= -1e-12 for c in report.conditions)
 
     def test_order_three_witness_passes(self):
-        report = check_theorem_hypotheses(three_by_three_witness())
+        report = check_theorem_hypotheses(sine_witness(3))
         assert report.overall
         assert report.condition("gap_psd").slack >= -1e-12
 

@@ -18,7 +18,7 @@ from bohrlab.search import (
     search,
 )
 from bohrlab.series import alpha_series, critical_radius
-from bohrlab.witnesses import general_witness, three_by_three_witness
+from bohrlab.witnesses import general_witness, sine_witness
 
 SQRT2 = math.sqrt(2.0)
 
@@ -144,7 +144,7 @@ class TestMaterialize:
     def test_reproduces_order_three_radius(self):
         v = np.array([1.0, SQRT2, 1.0])
         inst = materialize(3, np.outer(v, v), np.eye(3, k=1))
-        ref = three_by_three_witness()
+        ref = sine_witness(3)
         assert np.array_equal(np.triu(inst.A, 1), np.triu(ref.A, 1))
         assert np.array_equal(inst.S + 2.0 * np.eye(3), ref.S)
         r = critical_radius(alpha_series(inst), float(np.trace(inst.S).real))
@@ -226,6 +226,15 @@ class TestSearch:
             alpha_series(est.instance), float(np.trace(est.instance.S).real)
         )
         assert abs(inst_r - est.r_star) <= 1e-8
+
+    def test_never_beats_the_sine_family(self):
+        # the sine witness radius 1/(1 + 2 cos(pi/(n+1))) is the order-n minimum
+        for n in (2, 3, 4):
+            est = search(SearchConfig(n=n, restarts=3, max_iters=500, seed=5))
+            sine = sine_witness(n)
+            floor = critical_radius(alpha_series(sine), float(np.trace(sine.S).real))
+            assert abs(floor - 1.0 / (1.0 + 2.0 * math.cos(math.pi / (n + 1)))) <= 1e-12
+            assert est.r_star >= floor - 1e-12
 
 
 class TestCalculusOracle:

@@ -9,16 +9,14 @@ from bohrlab.hypotheses import check_relaxed_hypotheses, check_theorem_hypothese
 from bohrlab.linalg import hermitian_eigenvalues, operator_norm, re_part
 from bohrlab.series import alpha_series, bohr_sum, check_inequality, critical_radius
 from bohrlab.witnesses import (
-    FAMILY_IDS,
     InvalidOrderError,
     RadiusNotAboveOneThirdError,
     ShrinkNotAllowedError,
-    WitnessFamily,
     embed,
     general_witness,
     remark_parameters,
     remark_two_witness,
-    three_by_three_witness,
+    sine_witness,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -27,6 +25,10 @@ SQRT2 = math.sqrt(2.0)
 def instance_radius(inst):
     series = alpha_series(inst)
     return critical_radius(series, float(np.trace(inst.S).real))
+
+
+def sine_radius(n):
+    return 1.0 / (1.0 + 2.0 * math.cos(math.pi / (n + 1)))
 
 
 class TestGeneralFamily:
@@ -61,21 +63,18 @@ class TestGeneralFamily:
         assert not check_inequality(inst, r_star + 1e-6).holds
 
     def test_rejects_bad_orders(self):
-        for bad in (1, 0, -3):
-            with pytest.raises(InvalidOrderError):
-                general_witness(bad)
-        with pytest.raises(InvalidOrderError):
-            general_witness(2.0)
-        with pytest.raises(InvalidOrderError):
-            general_witness(True)
+        for build in (general_witness, sine_witness):
+            for bad in (1, 0, -3, 2.0, True):
+                with pytest.raises(InvalidOrderError):
+                    build(bad)
 
 
 class TestOrderThreeFamily:
     def test_radius_is_sqrt2_minus_1(self):
-        assert abs(instance_radius(three_by_three_witness()) - (SQRT2 - 1.0)) <= 1e-9
+        assert abs(instance_radius(sine_witness(3)) - (SQRT2 - 1.0)) <= 1e-9
 
     def test_gap_spectrum(self):
-        inst = three_by_three_witness()
+        inst = sine_witness(3)
         gap = inst.S - re_part(inst.A)
         values = hermitian_eigenvalues(gap)
         assert abs(values[0] - 4.0) <= 1e-12
@@ -83,11 +82,41 @@ class TestOrderThreeFamily:
         assert abs(values[2]) <= 1e-9
 
     def test_hypotheses_pass(self):
-        assert check_theorem_hypotheses(three_by_three_witness()).overall
+        assert check_theorem_hypotheses(sine_witness(3)).overall
 
     def test_beats_general_order_three(self):
         # 3/7 from the staircase vs the smaller sqrt(2)-1 here
-        assert instance_radius(three_by_three_witness()) < instance_radius(general_witness(3))
+        assert instance_radius(sine_witness(3)) < instance_radius(general_witness(3))
+
+
+class TestSineFamily:
+    def test_radius_closed_form(self):
+        for n in list(range(2, 21)) + [100]:
+            inst = sine_witness(n)
+            assert abs(instance_radius(inst) - sine_radius(n)) <= 1e-12
+            assert check_theorem_hypotheses(inst).overall
+
+    def test_order_three_is_the_literal_witness(self):
+        # the hand-typed order-3 instance it replaces, gap (1, sqrt2, 1)(1, sqrt2, 1)^T
+        a = np.array(
+            [
+                [2.0, -2.0 * SQRT2, -2.0],
+                [0.0, 2.0, -2.0 * SQRT2],
+                [0.0, 0.0, 2.0],
+            ],
+            dtype=np.complex128,
+        )
+        s = np.diag([3.0, 4.0, 3.0]).astype(np.complex128)
+        inst = sine_witness(3)
+        assert inst.A.tobytes() == a.tobytes()
+        assert inst.S.tobytes() == s.tobytes()
+        assert np.array_equal(inst.seq.matrices[0], np.eye(3, k=1))
+        assert inst.mode == "theorem"
+
+    def test_below_staircase_from_order_three(self):
+        assert abs(instance_radius(sine_witness(2)) - instance_radius(general_witness(2))) <= 1e-12
+        for n in range(3, 13):
+            assert instance_radius(sine_witness(n)) < instance_radius(general_witness(n))
 
 
 class TestRemarkFamily:
@@ -143,7 +172,7 @@ class TestEmbedding:
         assert embed(inst, 3) is inst
 
     def test_preserves_series_and_radius(self):
-        inst = three_by_three_witness()
+        inst = sine_witness(3)
         big = embed(inst, 7)
         assert big.order == 7
         assert alpha_series(big) == alpha_series(inst)
@@ -168,29 +197,3 @@ class TestEmbedding:
             embed(general_witness(4), 3)
         with pytest.raises(ShrinkNotAllowedError):
             embed(general_witness(2), 2.5)
-
-
-class TestWitnessFamily:
-    def test_ids_pinned(self):
-        assert FAMILY_IDS == ("general_n", "three_by_three", "remark_n2")
-
-    def test_build_matches_direct_constructors(self):
-        built = WitnessFamily("general_n", {"n": 4}).build()
-        direct = general_witness(4)
-        assert np.array_equal(built.A, direct.A)
-        built3 = WitnessFamily("three_by_three").build()
-        assert np.array_equal(built3.A, three_by_three_witness().A)
-        remark = WitnessFamily("remark_n2", {"r_target": 0.35}).build()
-        assert np.array_equal(remark.A, remark_two_witness(0.35).A)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WitnessFamily("unknown")
-        with pytest.raises(InvalidOrderError):
-            WitnessFamily("general_n", {"n": 1})
-        with pytest.raises(InvalidOrderError):
-            WitnessFamily("general_n", {})
-        with pytest.raises(RadiusNotAboveOneThirdError):
-            WitnessFamily("remark_n2", {"r_target": 0.2})
-        with pytest.raises(RadiusNotAboveOneThirdError):
-            WitnessFamily("remark_n2", {})
