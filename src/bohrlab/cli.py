@@ -298,6 +298,10 @@ def cmd_radius_search(args) -> int:
             "r_star": estimate.r_star,
             "evaluations": estimate.evaluations,
             "per_restart_best": list(estimate.per_restart_best),
+            "per_restart": [
+                {"iterations": rec.iterations, "evaluations": rec.evaluations, "stop": rec.stop}
+                for rec in estimate.per_restart
+            ],
         }
         print(json.dumps(payload, indent=2))
     else:
@@ -308,9 +312,12 @@ def cmd_radius_search(args) -> int:
             f"seed: {cfg.seed}",
             f"r_star: {_fmt(estimate.r_star)}",
             f"evaluations: {estimate.evaluations}",
-            "per-restart best:",
+            "per-restart best, stop reason (iterations, evaluations):",
         ]
-        lines += [f"  {i}: {_fmt(v)}" for i, v in enumerate(estimate.per_restart_best)]
+        lines += [
+            f"  {i}: {_fmt(rec.best)}  {rec.stop} ({rec.iterations}, {rec.evaluations})"
+            for i, rec in enumerate(estimate.per_restart)
+        ]
         print("\n".join(lines))
     return EXIT_OK
 
@@ -437,7 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="ignored; search restarts run one after another (kept so old command lines work)",
+        help="ignored; search restarts run in lockstep in one thread"
+        " (kept so old command lines work)",
     )
 
     parser = _Parser(prog="bohrlab", description=__doc__)

@@ -236,6 +236,11 @@ class TestRadiusSearchCommand:
         assert len(payload["per_restart_best"]) == 4
         assert payload["r_star"] >= 0.5 - 1e-9
         assert payload["evaluations"] > 0
+        assert len(payload["per_restart"]) == 4
+        assert sum(rec["evaluations"] for rec in payload["per_restart"]) == payload["evaluations"]
+        for rec in payload["per_restart"]:
+            assert rec["stop"] in ("converged", "max_iters")
+            assert 0 < rec["iterations"] <= 300
 
     def test_stdout_reproducible(self, capsys):
         main(self.ARGS)
@@ -353,6 +358,14 @@ class TestArgumentErrors:
                 main(argv + ["--tol", tol])
             assert exc.value.code == EXIT_INPUT
             assert "--tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-9"])
+    def test_simplex_tolerance_must_be_finite_and_positive(self, capsys, tol):
+        argv = ["radius-search", "--n", "2", "--restarts", "2", f"--simplex-tol={tol}"]
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "simplex_tol" in captured.err
+        assert captured.out == ""
 
     def test_zero_tolerance_is_the_strict_setting(self, tmp_path, capsys):
         path = write_instance(tmp_path, general_witness(3))

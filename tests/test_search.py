@@ -1,5 +1,6 @@
 """Parameterization, the radius objective, and the multistart descent."""
 
+import importlib
 import math
 
 import numpy as np
@@ -21,6 +22,8 @@ from bohrlab.series import alpha_series, critical_radius
 from bohrlab.witnesses import general_witness, sine_witness
 
 SQRT2 = math.sqrt(2.0)
+# the module itself: the package attribute `bohrlab.search` is the function
+search_module = importlib.import_module("bohrlab.search")
 
 
 def materialized_radius(n, v):
@@ -36,6 +39,83 @@ def rank_one_vector():
     x[3], x[5] = SQRT2, 1.0
     x[9], x[13] = 1.0, 1.0
     return x
+
+
+def serial_nelder_mead(n, x0, max_iters, simplex_tol):
+    """One restart as a plain loop with one objective call per point:
+    the reference that the lockstep search must match bit for bit.
+
+    Returns (best value, iterations, evaluations, stop reason).
+    """
+    dim = x0.size
+    simplex = np.tile(x0, (dim + 1, 1))
+    simplex[1:] += 0.5 * np.eye(dim)
+    fvals = np.array([objective(n, x) for x in simplex])
+    evals = dim + 1
+    vsum = simplex.sum(axis=0)
+    best = int(np.argmin(fvals))
+    diff = simplex - simplex[best]
+    dist2 = np.einsum("ij,ij->i", diff, diff)
+
+    def rebest():
+        nonlocal best
+        new_best = int(np.argmin(fvals))
+        if new_best != best:
+            best = new_best
+            d = simplex - simplex[best]
+            dist2[:] = np.einsum("ij,ij->i", d, d)
+
+    def replace(w, x, f):
+        vsum[:] += x - simplex[w]
+        simplex[w] = x
+        fvals[w] = f
+        d = x - simplex[best]
+        dist2[w] = d @ d
+        rebest()
+
+    for it in range(max_iters + 1):
+        if float(np.max(dist2)) < simplex_tol**2:
+            return float(fvals[best]), it, evals, "converged"
+        if it == max_iters:
+            return float(fvals[best]), it, evals, "max_iters"
+        order = np.argsort(fvals, kind="stable")
+        w = int(order[-1])
+        f_best, f_second, f_worst = fvals[order[0]], fvals[order[-2]], fvals[w]
+        centroid = (vsum - simplex[w]) / dim
+        xr = 2.0 * centroid - simplex[w]
+        fr = objective(n, xr)
+        evals += 1
+        if fr < f_best:
+            xe = centroid + 2.0 * (centroid - simplex[w])
+            fe = objective(n, xe)
+            evals += 1
+            if fe < fr:
+                replace(w, xe, fe)
+            else:
+                replace(w, xr, fr)
+        elif fr < f_second:
+            replace(w, xr, fr)
+        else:
+            if fr < f_worst:
+                xc = centroid + 0.5 * (xr - centroid)
+            else:
+                xc = centroid + 0.5 * (simplex[w] - centroid)
+            fc = objective(n, xc)
+            evals += 1
+            if fc < min(fr, f_worst):
+                replace(w, xc, fc)
+            else:
+                keep = simplex[best].copy()
+                simplex += keep
+                simplex *= 0.5
+                simplex[best] = keep
+                for i in range(dim + 1):
+                    if i != best:
+                        fvals[i] = objective(n, simplex[i])
+                evals += dim
+                vsum[:] = simplex.sum(axis=0)
+                dist2[:] *= 0.25
+                rebest()
 
 
 class TestParameterize:
@@ -98,6 +178,23 @@ class TestObjective:
     def test_length_check(self):
         with pytest.raises(BadLengthError):
             objective(2, np.zeros(7))
+        with pytest.raises(BadLengthError):
+            objective(2, np.zeros((3, 7)))
+        with pytest.raises(BadLengthError):
+            objective(2, np.zeros((2, 3, 6)))
+
+    def test_batch_matches_single_rows_bit_for_bit(self):
+        rng = np.random.default_rng(25)
+        for n in (2, 3, 5, 8):
+            for k in (1, 2, 7, 40):
+                rows = rng.standard_normal((k, dimension(n))) * rng.uniform(0.05, 3.0, (k, 1))
+                rows[0, n * n :] *= 0.1  # a row whose Frobenius norm skips the SVD
+                batch = objective(n, rows)
+                assert batch.shape == (k,)
+                singles = np.array([objective(n, row) for row in rows])
+                assert np.array_equal(batch, singles)
+                perm = rng.permutation(k)
+                assert np.array_equal(objective(n, rows[perm]), batch[perm])
 
     def test_agrees_with_materialized_bisection(self):
         rng = np.random.default_rng(21)
@@ -192,8 +289,9 @@ class TestSearch:
             SearchConfig(n=2, restarts=0)
         with pytest.raises(ValueError):
             SearchConfig(n=2, max_iters=0)
-        with pytest.raises(ValueError):
-            SearchConfig(n=2, simplex_tol=0.0)
+        for tol in (0.0, -1e-9, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                SearchConfig(n=2, simplex_tol=tol)
 
     def test_deterministic_across_runs(self):
         cfg = SearchConfig(n=2, restarts=6, max_iters=400, seed=11)
@@ -216,6 +314,8 @@ class TestSearch:
         assert len(est.per_restart_best) == 4
         assert est.r_star == min(est.per_restart_best)
         assert est.evaluations == len(seen)
+        assert est.evaluations == sum(rec.evaluations for rec in est.per_restart)
+        assert est.per_restart_best == tuple(rec.best for rec in est.per_restart)
         assert min(seen) >= 0.5 - 1e-9
         assert est.instance.order == 2
 
@@ -226,6 +326,48 @@ class TestSearch:
             alpha_series(est.instance), float(np.trace(est.instance.S).real)
         )
         assert abs(inst_r - est.r_star) <= 1e-8
+
+    @pytest.mark.parametrize("n, max_iters", [(2, 2000), (3, 600)])
+    def test_restarts_do_not_depend_on_the_restart_count(self, n, max_iters):
+        few = search(SearchConfig(n=n, restarts=2, max_iters=max_iters, seed=13))
+        many = search(SearchConfig(n=n, restarts=5, max_iters=max_iters, seed=13))
+        assert many.per_restart[:2] == few.per_restart
+        assert many.per_restart_best[:2] == few.per_restart_best
+
+    @pytest.mark.parametrize("n, restarts, max_iters", [(2, 3, 2000), (3, 2, 300)])
+    def test_lockstep_matches_serial_restarts(self, n, restarts, max_iters):
+        # n=2 converges and shrinks on the way; n=3 stops at max_iters
+        cfg = SearchConfig(n=n, restarts=restarts, max_iters=max_iters, seed=4)
+        est = search(cfg)
+        for i, rec in enumerate(est.per_restart):
+            x0 = np.random.default_rng([cfg.seed, i]).standard_normal(dimension(n))
+            ref = serial_nelder_mead(n, x0, cfg.max_iters, cfg.simplex_tol)
+            assert (rec.best, rec.iterations, rec.evaluations, rec.stop) == ref
+
+    def test_chunking_does_not_change_the_result(self, monkeypatch):
+        cfg = SearchConfig(n=3, restarts=5, max_iters=400, seed=17)
+        whole = search(cfg)
+        simplex = (dimension(3) + 1) * dimension(3) * 8
+        point = dimension(3) * 8
+        # chunks of one restart and one point per objective call, then
+        # chunks of two restarts and four points per call
+        for simplex_bytes, call_bytes in ((1, 1), (2 * simplex, 4 * point)):
+            monkeypatch.setattr(search_module, "_SIMPLEX_BYTES", simplex_bytes)
+            monkeypatch.setattr(search_module, "_CALL_BYTES", call_bytes)
+            chunked = search(cfg)
+            assert chunked.per_restart == whole.per_restart
+            assert np.array_equal(chunked.instance.A, whole.instance.A)
+
+    def test_stop_reason_max_iters(self):
+        est = search(SearchConfig(n=2, restarts=3, max_iters=1, seed=2))
+        assert [rec.stop for rec in est.per_restart] == ["max_iters"] * 3
+        assert [rec.iterations for rec in est.per_restart] == [1, 1, 1]
+
+    def test_stop_reason_converged(self):
+        cfg = SearchConfig(n=2, restarts=4, seed=7)
+        est = search(cfg)
+        assert all(rec.iterations < cfg.max_iters for rec in est.per_restart)
+        assert [rec.stop for rec in est.per_restart] == ["converged"] * 4
 
     def test_never_beats_the_sine_family(self):
         # the sine witness radius 1/(1 + 2 cos(pi/(n+1))) is the order-n minimum
