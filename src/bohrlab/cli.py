@@ -67,6 +67,8 @@ def _matrix_from_literal(node, n: int, path: str) -> np.ndarray:
                 out[i, j] = complex(entry[0], entry[1])
             except OverflowError:
                 raise DocumentError(f"{path}[{i}][{j}]", "number too large for a float") from None
+    # frozen, so the instance adopts it without another copy
+    out.setflags(write=False)
     return out
 
 
@@ -322,15 +324,17 @@ def cmd_radius_search(args) -> int:
     return EXIT_OK
 
 
+def _table_row(n: int) -> tuple[int, float, float, float]:
+    # one order-n instance lives only for the duration of this call
+    inst = general_witness(n)
+    series = alpha_series(inst)
+    bisected = critical_radius(series, float(np.trace(inst.S).real))
+    formula = n / (3.0 * n - 2.0)
+    return n, formula, bisected, abs(formula - bisected)
+
+
 def _table_rows(max_n: int) -> list[tuple[int, float, float, float]]:
-    rows = []
-    for n in range(2, max_n + 1):
-        inst = general_witness(n)
-        series = alpha_series(inst)
-        bisected = critical_radius(series, float(np.trace(inst.S).real))
-        formula = n / (3.0 * n - 2.0)
-        rows.append((n, formula, bisected, abs(formula - bisected)))
-    return rows
+    return [_table_row(n) for n in range(2, max_n + 1)]
 
 
 def cmd_table(args) -> int:

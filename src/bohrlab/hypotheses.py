@@ -51,6 +51,9 @@ RELAXED_CONDITIONS = (
 )
 
 
+_EPS = float(np.finfo(np.float64).eps)
+
+
 class PreconditionViolatedError(ValueError):
     """An input fails the structural precondition of a check."""
 
@@ -101,13 +104,17 @@ def _gap_psd_condition(a: np.ndarray, s: np.ndarray, tol: float) -> ConditionRep
 
     Symmetrizing keeps the check total: a non-Hermitian S is already
     flagged by its own condition, and the gap verdict stays meaningful.
+    The test is lam_min >= -(tol + n eps) scale: LAPACK computes an exact
+    zero eigenvalue of an order-n gap only to about n eps scale, so that
+    rounding is allowed even at tol = 0.
     """
     gap = s - re_part(a)
     gap = 0.5 * (gap + adjoint(gap))
     values = hermitian_eigenvalues(gap)
     lam_min = float(values[-1]) if values.size else 0.0
     scale = max(1.0, float(np.max(np.abs(values))) if values.size else 0.0)
-    return ConditionReport("gap_psd", bool(lam_min >= -tol * scale), lam_min)
+    floor = (tol + values.size * _EPS) * scale
+    return ConditionReport("gap_psd", bool(lam_min >= -floor), lam_min)
 
 
 def _sequence_norm_condition(mats: tuple[np.ndarray, ...], tol: float) -> ConditionReport:

@@ -20,15 +20,28 @@ class NotHermitianError(ValueError):
 def as_complex_matrix(value, name: str = "matrix") -> np.ndarray:
     """Validate and freeze a square complex matrix.
 
-    Returns a read-only ``complex128`` copy; raises ``ValueError`` for
-    non-square, empty, or non-finite input.
+    Returns a read-only ``complex128`` copy unless ``value`` is already
+    a frozen owning ``complex128`` array (read-only, ``base is None``),
+    which is returned itself: no view of another array can change it
+    behind the caller's back, so it is shared instead of copied.
+    Raises ``ValueError`` for non-square, empty, or non-finite input.
     """
-    arr = np.array(value, dtype=np.complex128)
+    adopt = (
+        type(value) is np.ndarray
+        and value.dtype == np.complex128
+        and value.base is None
+        and not value.flags.writeable
+    )
+    arr = value if adopt else np.array(value, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{name} must be a square 2-d array, got shape {arr.shape}")
     if arr.shape[0] < 1:
         raise ValueError(f"{name} must have order >= 1")
-    if not np.all(np.isfinite(arr.view(np.float64))):
+    # a finite sum proves every entry finite; only a sum that overflowed
+    # or met an inf or nan needs the elementwise test
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = arr.sum()
+    if not np.isfinite(total) and not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} has non-finite entries")
     arr.setflags(write=False)
     return arr

@@ -131,11 +131,26 @@ class BohrInstance:
         the sequence repeats M.  With P = x x^T and M the shift (ones on
         the superdiagonal) the critical radius is
         |x|^2 / (|x|^2 + 2 sum_k x_k x_{k+1}), whatever c is.
+
+        A and S are written straight into zeroed complex128 buffers and
+        frozen, so the instance adopts them without a copy; P may be any
+        real, integer or complex array, a broadcast view included.  For
+        a real P only the real parts are written, so every imaginary
+        part is +0.0, as if the real matrix had been cast to complex.
         """
         P = np.asarray(P)
-        a = np.triu(-2.0 * P, 1)
-        a.flat[:: len(a) + 1] = c
-        s = np.diag(P.diagonal().real + c)
+        if P.ndim != 2 or P.shape[0] != P.shape[1]:
+            raise ValueError(f"P must be a square 2-d array, got shape {P.shape}")
+        n = len(P)
+        idx = np.arange(n)
+        a = np.zeros((n, n), dtype=np.complex128)
+        out = a if np.iscomplexobj(P) else a.real
+        np.multiply(-2.0, P, out=out, where=idx[:, None] < idx)
+        a.flat[:: n + 1] = c
+        s = np.zeros((n, n), dtype=np.complex128)
+        s.flat[:: n + 1] = P.diagonal().real + c
+        a.setflags(write=False)
+        s.setflags(write=False)
         return cls(a, s, SequenceSpec.constant(M), "theorem")
 
     @property

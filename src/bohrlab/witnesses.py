@@ -38,6 +38,18 @@ def _check_order(n) -> int:
     return int(n)
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    # a read-only owning complex128 array is adopted by BohrInstance and
+    # SequenceSpec as it is, without a copy
+    a.setflags(write=False)
+    return a
+
+
+def _shift(n: int) -> np.ndarray:
+    """Ones on the superdiagonal: the order-n shift, a strictly upper contraction."""
+    return _frozen(np.eye(n, k=1, dtype=np.complex128))
+
+
 def general_witness(n: int) -> BohrInstance:
     """Order-n instance with critical radius exactly n/(3n-2).
 
@@ -46,7 +58,7 @@ def general_witness(n: int) -> BohrInstance:
     Then Tr(S) = 2n and every |alpha_m| = 2(n-1).
     """
     n = _check_order(n)
-    return BohrInstance.from_gap(np.ones((n, n)), np.eye(n, k=1), 1.0)
+    return BohrInstance.from_gap(np.broadcast_to(1.0, (n, n)), _shift(n), 1.0)
 
 
 def sine_witness(n: int) -> BohrInstance:
@@ -67,7 +79,7 @@ def sine_witness(n: int) -> BohrInstance:
     while len(x) <= (n + 1) // 2:
         x.append(t * x[-1] - x[-2])
     x = np.array(x[1:] + x[n // 2 : 0 : -1])
-    return BohrInstance.from_gap(np.outer(x, x), np.eye(n, k=1), 2.0)
+    return BohrInstance.from_gap(np.outer(x, x), _shift(n), 2.0)
 
 
 def remark_parameters(r_target: float) -> tuple[float, int]:
@@ -110,14 +122,14 @@ def remark_two_witness(r_target: float) -> BohrInstance:
         dtype=np.complex128,
     )
     s = np.eye(2, dtype=np.complex128)
-    return BohrInstance(a, s, SequenceSpec.constant(m), "relaxed")
+    return BohrInstance(_frozen(a), _frozen(s), SequenceSpec.constant(_frozen(m)), "relaxed")
 
 
 def _pad(a: np.ndarray, big: int) -> np.ndarray:
     n = a.shape[0]
     out = np.zeros((big, big), dtype=np.complex128)
     out[:n, :n] = a
-    return out
+    return _frozen(out)
 
 
 def embed(inst: BohrInstance, big: int) -> BohrInstance:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,6 +163,20 @@ class TestVerifyCommand:
         assert "S[0][0]" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("n", [3, 4, 8, 100])
+    def test_zero_tolerance_passes_rank_one_gap_witnesses(self, tmp_path, capsys, n):
+        # LAPACK returns the zero eigenvalues of a rank-one gap slightly
+        # negative (about -2e-11 for the order-100 sine gap, whose largest
+        # is 5e4); --tol 0 must not fail them
+        sine = 1.0 / (1.0 + 2.0 * math.cos(math.pi / (n + 1)))
+        for inst, radius in ((general_witness(n), n / (3.0 * n - 2.0)), (sine_witness(n), sine)):
+            path = write_instance(tmp_path, inst)
+            argv = ["verify", path, "--r", repr(0.9 * radius), "--tol", "0", "--format", "json"]
+            assert main(argv) == EXIT_OK
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["hypotheses"]["overall"]
+            assert payload["check"]["holds"]
+
 
 class TestWitnessCommand:
     def test_general_family(self, capsys):
@@ -284,6 +299,19 @@ class TestTableCommand:
         main(["table", "--max-n", "3"])
         out = capsys.readouterr().out
         assert "formula" in out and "bisection" in out
+
+    def test_holds_one_instance_at_a_time(self, capsys):
+        # three order-n complex matrices make one instance (48 n^2 bytes);
+        # building a row must not keep the last one or float copies alive
+        n = 400
+        tracemalloc.start()
+        try:
+            assert main(["table", "--max-n", str(n), "--format", "csv"]) == EXIT_OK
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak < 4 * 16 * n * n
 
     def test_rejects_small_max_n(self, capsys):
         assert main(["table", "--max-n", "1"]) == EXIT_INPUT

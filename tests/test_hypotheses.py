@@ -103,6 +103,20 @@ class TestTheoremMode:
         assert not cond.passed
         assert abs(cond.slack + 2.0) <= 1e-12
 
+    def test_zero_tolerance_fails_a_small_real_negative_eigenvalue(self):
+        # the LAPACK rounding floor, n eps times the scale, is far below
+        # a true eigenvalue of -1e-12 times the scale
+        n = 8
+        rng = np.random.default_rng(8)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        values = np.zeros(n)
+        values[0], values[-1] = float(n), -1e-12 * n
+        gap = (q * values) @ q.T
+        inst = BohrInstance.from_gap(gap, np.eye(n, k=1), 1.0)
+        cond = check_theorem_hypotheses(inst, tol=0.0).condition("gap_psd")
+        assert not cond.passed
+        assert abs(cond.slack + 1e-12 * n) <= 1e-13 * n
+
     def test_nonreal_trace_fails(self):
         a = np.array([[2j, 0.0], [0.0, 0.0]])
         inst = BohrInstance(a, np.eye(2), SequenceSpec.finite([]))

@@ -1,6 +1,7 @@
 """Matrix layer: eigenvalues, norms, order tests, triangularity."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from bohrlab.linalg import (
     trace_norm,
     trace_pairing,
 )
+from bohrlab.series import BohrInstance
+from bohrlab.witnesses import general_witness
 
 
 def random_complex(rng, n):
@@ -52,6 +55,66 @@ class TestValidation:
             out[0, 0] = 1.0
         src[0, 0] = 7.0
         assert out[0, 0] == 0.0
+
+    def test_frozen_owning_complex_array_is_adopted(self):
+        src = np.array([[1.0, 2j], [0.0, 3.0 - 1j]])
+        src.setflags(write=False)
+        assert as_complex_matrix(src) is src
+
+    def test_other_inputs_are_copied(self):
+        frozen = np.arange(9, dtype=np.complex128).reshape(3, 3)
+        frozen.setflags(write=False)
+        floats = np.arange(4.0).reshape(2, 2)
+        floats.setflags(write=False)
+        for value in (
+            np.arange(4, dtype=np.complex128).reshape(2, 2),  # writable
+            frozen[:2, :2],  # read-only view
+            floats,  # read-only, not complex
+        ):
+            out = as_complex_matrix(value)
+            assert out is not value
+            assert not np.shares_memory(out, value)
+            assert out.dtype == np.complex128
+            assert not out.flags.writeable
+            assert np.array_equal(out, value)
+
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(1.0, -np.inf)]
+    )
+    def test_rejects_nonfinite_on_both_paths(self, bad):
+        value = np.zeros((3, 3), dtype=np.complex128)
+        value[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            as_complex_matrix(value)
+        value.setflags(write=False)
+        with pytest.raises(ValueError, match="non-finite"):
+            as_complex_matrix(value)
+
+    def test_accepts_finite_entries_whose_sum_overflows(self):
+        for entries in ([[1e308, 1e308], [0.0, 0.0]], [[1e308j, 0.0], [1e308j, -1e308]]):
+            value = np.array(entries, dtype=np.complex128)
+            assert np.array_equal(as_complex_matrix(value), value)
+            value.setflags(write=False)
+            assert as_complex_matrix(value) is value
+
+    def test_validation_allocates_no_matrix_temporary(self):
+        n = 300
+        value = np.zeros((n, n), dtype=np.complex128)
+        value.setflags(write=False)
+        tracemalloc.start()
+        try:
+            as_complex_matrix(value)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n
+
+    def test_instance_shares_its_frozen_arrays(self):
+        inst = general_witness(5)
+        again = BohrInstance(inst.A, inst.S, inst.seq)
+        assert again.A is inst.A
+        assert again.S is inst.S
+        assert again.seq.matrices[0] is inst.seq.matrices[0]
 
 
 class TestBasics:

@@ -234,6 +234,12 @@ class TestInstanceChecks:
         with pytest.raises(ValueError):
             BohrInstance(np.eye(2), np.eye(2), SequenceSpec.finite([]), mode="loose")
 
+    def test_from_gap_rejects_a_gap_that_is_not_square(self):
+        # a (3, 1) column would otherwise broadcast into a 3x3 gap
+        for gap in (np.ones((3, 1)), np.ones(3), np.ones((2, 3)), np.ones((2, 2, 2))):
+            with pytest.raises(ValueError, match="square"):
+                BohrInstance.from_gap(gap, np.eye(3, k=1), 1.0)
+
     def test_check_inequality_at_threshold(self):
         n = 4
         a = np.eye(n) - 2.0 * np.triu(np.ones((n, n)), 1)

@@ -7,7 +7,8 @@ import pytest
 
 from bohrlab.hypotheses import check_relaxed_hypotheses, check_theorem_hypotheses
 from bohrlab.linalg import hermitian_eigenvalues, operator_norm, re_part
-from bohrlab.series import alpha_series, bohr_sum, check_inequality, critical_radius
+from bohrlab.search import materialize
+from bohrlab.series import BohrInstance, alpha_series, bohr_sum, check_inequality, critical_radius
 from bohrlab.witnesses import (
     InvalidOrderError,
     RadiusNotAboveOneThirdError,
@@ -197,3 +198,88 @@ class TestEmbedding:
             embed(general_witness(4), 3)
         with pytest.raises(ShrinkNotAllowedError):
             embed(general_witness(2), 2.5)
+
+
+def reference_from_gap(P, M, c):
+    """Reference construction: triu(-2P) and np.diag in P's own dtype,
+    then a cast of A, S and M to complex128."""
+    P = np.asarray(P)
+    a = np.triu(-2.0 * P, 1)
+    a.flat[:: len(a) + 1] = c
+    s = np.diag(P.diagonal().real + c)
+    return tuple(np.array(x, dtype=np.complex128) for x in (a, s, M))
+
+
+def assert_same_bytes(inst, expected):
+    for got, want in zip((inst.A, inst.S, inst.seq.matrices[0]), expected):
+        assert got.dtype == want.dtype == np.complex128
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def recorded_gaps(monkeypatch):
+    """Keep the (P, M, c) that the latest from_gap call received."""
+    calls = []
+    build = BohrInstance.from_gap
+
+    def recorder(cls, P, M, c):
+        calls[:] = [(P, M, c)]
+        return build(P, M, c)
+
+    monkeypatch.setattr(BohrInstance, "from_gap", classmethod(recorder))
+    return calls
+
+
+CONSTRUCTION_ORDERS = (*range(2, 41), 1000)
+
+
+class TestConstructionBytes:
+    """A, S and M match the float-staged reference byte for byte."""
+
+    def test_from_gap_real_complex_and_integer(self):
+        for n in CONSTRUCTION_ORDERS:
+            rng = np.random.default_rng(n)
+            real = rng.standard_normal((n, n))
+            real[rng.random((n, n)) < 0.2] = 0.0  # -2 * 0.0 is -0.0
+            cplx = real + 1j * rng.standard_normal((n, n))
+            cplx.imag[rng.random((n, n)) < 0.2] = -0.0
+            integer = rng.integers(-5, 6, size=(n, n))
+            M = np.triu(rng.standard_normal((n, n)), 1) / n
+            for P, c in ((real, 1.0), (-np.abs(real), 0.0), (cplx, 2.0), (integer, -1.5)):
+                inst = BohrInstance.from_gap(P, M, c)
+                assert_same_bytes(inst, reference_from_gap(P, M, c))
+                assert not any(x.flags.writeable for x in (inst.A, inst.S))
+
+    def test_witness_families(self, monkeypatch):
+        calls = recorded_gaps(monkeypatch)
+        for n in CONSTRUCTION_ORDERS:
+            shift = np.eye(n, k=1)
+            inst = general_witness(n)
+            assert_same_bytes(inst, reference_from_gap(np.ones((n, n)), shift, 1.0))
+            inst = sine_witness(n)
+            P, M, c = calls[-1]
+            assert np.array_equal(M, shift) and c == 2.0
+            assert_same_bytes(inst, reference_from_gap(P, shift, c))
+
+    def test_broadcast_gap(self):
+        for n in (2, 7, 1000):
+            gap = np.broadcast_to(-0.5, (n, n))
+            assert_same_bytes(
+                BohrInstance.from_gap(gap, np.eye(n, k=1), 3.0),
+                reference_from_gap(np.full((n, n), -0.5), np.eye(n, k=1), 3.0),
+            )
+
+    def test_materialize_and_embed(self):
+        for n in (*range(2, 41, 3), 1000):
+            rng = np.random.default_rng(1000 + n)
+            for complex_entries in (False, True):
+                L = np.tril(rng.standard_normal((n, n)))
+                if complex_entries:
+                    L = L + 1j * np.tril(rng.standard_normal((n, n)))
+                P = L @ L.conj().T
+                M = np.eye(n, k=1) * (0.5 + 0.25j * complex_entries)
+                inst = materialize(n, P, M)
+                assert_same_bytes(inst, reference_from_gap(np.asarray(P, np.complex128), M, 0.0))
+                big = n + 3
+                padded = tuple(np.pad(x, (0, big - n)) for x in (inst.A, inst.S, inst.seq.matrices[0]))
+                assert_same_bytes(embed(inst, big), padded)
