@@ -231,17 +231,20 @@ def cmd_verify(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    for flag, value, family in (("--n", args.n, "general-n"), ("--r-target", args.r_target, "remark-n2")):
-        if value is not None and args.family != family:
-            print(f"error: {flag} applies only to --family {family}", file=sys.stderr)
+    for flag, value, families in (
+        ("--n", args.n, ("general-n", "sine")),
+        ("--r-target", args.r_target, ("remark-n2",)),
+    ):
+        if value is not None and args.family not in families:
+            print(f"error: {flag} applies only to --family {' or '.join(families)}", file=sys.stderr)
             return EXIT_INPUT
     extra: list[str] = []
     params: dict = {}
-    if args.family == "general-n":
+    if args.family in ("general-n", "sine"):
         if args.n is None:
-            print("error: --family general-n requires --n", file=sys.stderr)
+            print(f"error: --family {args.family} requires --n", file=sys.stderr)
             return EXIT_INPUT
-        inst = general_witness(args.n)
+        inst = general_witness(args.n) if args.family == "general-n" else sine_witness(args.n)
     elif args.family == "n3":
         inst = sine_witness(3)
     else:
@@ -298,6 +301,7 @@ def cmd_radius_search(args) -> int:
             "max_iters": cfg.max_iters,
             "seed": cfg.seed,
             "r_star": estimate.r_star,
+            "gap": estimate.gap,
             "evaluations": estimate.evaluations,
             "per_restart_best": list(estimate.per_restart_best),
             "per_restart": [
@@ -313,6 +317,7 @@ def cmd_radius_search(args) -> int:
             f"max_iters: {cfg.max_iters}",
             f"seed: {cfg.seed}",
             f"r_star: {_fmt(estimate.r_star)}",
+            f"gap: {_fmt(estimate.gap)}",
             f"evaluations: {estimate.evaluations}",
             "per-restart best, stop reason (iterations, evaluations):",
         ]
@@ -461,8 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("witness", parents=[common], help="build a canonical extremal instance")
-    p.add_argument("--family", choices=("general-n", "n3", "remark-n2"), required=True)
-    p.add_argument("--n", type=int, default=None, help="order for general-n")
+    p.add_argument("--family", choices=("general-n", "sine", "n3", "remark-n2"), required=True)
+    p.add_argument("--n", type=int, default=None, help="order for general-n and sine (n3 is sine at n=3)")
     p.add_argument("--r-target", type=float, default=None, help="violation radius for remark-n2")
     p.set_defaults(fn=cmd_witness)
 
@@ -470,7 +475,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--max-iters", type=int, default=2000)
-    p.add_argument("--simplex-tol", type=float, default=1e-9)
+    p.add_argument(
+        "--simplex-tol",
+        type=float,
+        default=1e-9,
+        help="stop a restart when a step moves M by less than this (Frobenius norm)",
+    )
     p.set_defaults(fn=cmd_radius_search)
 
     p = sub.add_parser("table", parents=[common], help="tabulate n/(3n-2) against bisection")

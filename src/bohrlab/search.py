@@ -1,26 +1,40 @@
-"""Multistart Nelder-Mead search for the extremal critical radius.
+"""Lockstep ADMM search for the extremal critical radius.
 
 The hypotheses leave exactly two degrees of freedom that matter: the
 PSD gap matrix P = S - Re(A) and the strictly-upper contraction M that
-pairs with A.  Parameterizing P through a complex Cholesky-style factor
-L (PSD by construction) and rescaling M into the unit ball makes the
-feasible set the whole parameter space, so plain unconstrained descent
-applies.  For an instance materialized from (P, M) the critical radius
-has the closed form D/(D + |alpha|) with D = Tr(P) and alpha the pairing
-of the induced A with M, which is what the search minimizes.
+pairs with A.  For the instance from_gap(P, M, 0) the critical radius
+is D/(D + |alpha|) with D = Tr(P) and alpha the pairing of the induced
+A with M.  Both D and alpha are linear in P, so by the triangle
+inequality a rank-one gap P = x x* does as well as any, and the radius
+becomes 1/(1 + 2|x*Mx|/|x|^2).  The search therefore solves the reduced
+problem: maximize Re x*Mx over unit x and strictly-upper M with
+||M|| <= 1 (the feasible set is invariant under M -> e^{it} M, so no
+phase search is needed).  Its optimum gives the radius
+1/(1 + 2 cos(pi/(n+1))) (Haagerup and de la Harpe, Proc. AMS 115 (1992)).
 
-Restarts run in lockstep: every live restart takes its Nelder-Mead step
-at once, so one iteration makes one batched objective call for all the
-reflection points, at most one more for the expansion and contraction
-points, and one for the vertices of every simplex that shrinks.  A
-restart leaves the batch when it converges or reaches max_iters.  Each
-row of a batch goes through the same per-row arithmetic whatever else
-the batch holds, so a restart's trajectory, values and counts do not
-depend on how many restarts run beside it.  Restarts are taken in chunks
-of consecutive indices whose stacked simplices fit a fixed memory bound
-(_SIMPLEX_BYTES), so large orders never hold every simplex at once, and a
-batch of points larger than _CALL_BYTES is evaluated in blocks of that
-size, which bounds the objective's temporaries.
+The solver is ADMM (Boyd et al., Found. Trends Mach. Learn. 3 (2011))
+on the split M = Y, M strictly upper and Y in the unit ball of the
+operator norm, with penalty rho = n.  One step:
+
+    x      <- top eigenvector of (M + M*)/2
+    M      <- SU(Y - Lambda + x x*/rho)   (SU keeps the strictly-upper part)
+    Y      <- M + Lambda with its singular values clipped at 1
+    Lambda <- Lambda + M - Y
+
+Before M moves, each step scores its pair (x, M) with `objective`: the
+radius of the instance built from (x x*, M / max(1, ||M||)), so every
+reported value belongs to a feasible instance.  A restart stops once a
+step moves M by less than simplex_tol in Frobenius norm, or after
+max_iters steps.
+
+Restarts run in lockstep: every live restart takes its step at once,
+with one batched eigh, two batched SVDs (the projection and the honest
+value's ||M||) and one objective call for all of them.  A restart
+leaves the batch when it stops.  Each row of a batch goes through the
+same per-row arithmetic whatever else the batch holds, so a restart's
+trajectory, values and counts do not depend on how many restarts run
+beside it.  Restarts are taken in chunks of consecutive indices whose
+stacked ADMM state fits a fixed memory bound (_STATE_BYTES).
 """
 
 from __future__ import annotations
@@ -32,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypotheses import check_theorem_hypotheses
-from .linalg import DEFAULT_TOL, as_complex_matrix, max_abs, operator_norm
+from .linalg import DEFAULT_TOL, as_complex_matrix, max_abs
 from .series import BohrInstance
 
 
@@ -67,20 +81,15 @@ class SearchConfig:
             raise ValueError(f"simplex_tol must be finite and > 0, got {self.simplex_tol}")
 
 
-# bound on the bytes of the simplices one chunk of restarts stacks
-_SIMPLEX_BYTES = 8 << 20
-# bound on the bytes of the points one objective call evaluates
-_CALL_BYTES = 1 << 16
-# positions of the best, second-worst and worst vertex in a sorted simplex
-_ENDS = np.array([0, -2, -1])
+# bound on the bytes of the ADMM state (M, Y and Lambda) one chunk of restarts stacks
+_STATE_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
 class RestartRecord:
-    """How one restart ended: its best value, the Nelder-Mead iterations
-    and objective evaluations it used, and why it stopped: "converged"
-    when every vertex lies within simplex_tol of the best one, else
-    "max_iters"."""
+    """How one restart ended: its best value, the ADMM steps and
+    objective evaluations it used, and why it stopped: "converged" when
+    a step moved M by less than simplex_tol, else "max_iters"."""
 
     best: float
     iterations: int
@@ -102,6 +111,12 @@ class RadiusEstimate:
     def per_restart_best(self) -> tuple[float, ...]:
         return tuple(rec.best for rec in self.per_restart)
 
+    @property
+    def gap(self) -> float:
+        """r_star minus the order-n optimum 1/(1 + 2 cos(pi/(n+1)))."""
+        n = self.instance.order
+        return self.r_star - 1.0 / (1.0 + 2.0 * math.cos(math.pi / (n + 1)))
+
 
 @dataclass(frozen=True)
 class Parameterization:
@@ -110,30 +125,22 @@ class Parameterization:
 
 
 def dimension(n: int) -> int:
-    """Length of the parameter vector at order n: n^2 reals for the
-    factor L plus n(n-1) for the strictly-upper complex entries of M."""
-    return n * n + n * (n - 1)
+    """Length of the parameter vector at order n: 2n reals for x plus
+    n(n-1) for the strictly-upper complex entries of M.
+
+    Layout: v[:2n] is x as (re, im) pairs; the rest is the strictly-upper
+    entries of M as (re, im) pairs in row-major order.
+    """
+    return n * (n + 1)
 
 
 @functools.cache
-def _layout(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where the first n^2 entries of a parameter vector go among the
-    interleaved (re, im) entries of L, row-major n x n, and the
-    row-major flat positions of the strictly-upper entries.
-
-    Layout: v[:n] is the real diagonal of L; v[n:n^2] the strictly-lower
-    entries of L as (re, im) pairs in row-major order; the remaining
-    n(n-1) reals the strictly-upper entries of M, same convention.
-    """
-    lower = np.flatnonzero(np.tri(n, k=-1))
-    slots = np.empty(n * n, dtype=np.intp)
-    slots[:n] = 2 * (n + 1) * np.arange(n)
-    slots[n::2] = 2 * lower
-    slots[n + 1 :: 2] = 2 * lower + 1
-    upper = np.flatnonzero(np.tri(n, k=-1).T)
-    slots.setflags(write=False)
-    upper.setflags(write=False)
-    return slots, upper
+def _upper(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strictly-upper entries, row-major."""
+    rows, cols = np.triu_indices(n, 1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
 
 
 def _rows(n: int, v, batch: bool) -> np.ndarray:
@@ -147,20 +154,10 @@ def _rows(n: int, v, batch: bool) -> np.ndarray:
     return rows.reshape(-1, dimension(n))
 
 
-def _split(n: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(L, m) for every row: the factors L as a (k, n, n) stack and the
-    complex strictly-upper entries m of M (row-major, not yet rescaled)."""
-    nn = n * n
-    L = np.zeros((len(rows), 2 * nn))
-    L[:, _layout(n)[0]] = rows[:, :nn]
-    m = np.ascontiguousarray(rows[:, nn:]).view(np.complex128)
-    return L.view(np.complex128).reshape(-1, n, n), m
-
-
 def _upper_matrices(n: int, m: np.ndarray) -> np.ndarray:
-    M = np.zeros((m.shape[0], n * n), dtype=np.complex128)
-    M[:, _layout(n)[1]] = m
-    return M.reshape(-1, n, n)
+    M = np.zeros((m.shape[0], n, n), dtype=np.complex128)
+    M[:, _upper(n)[0], _upper(n)[1]] = m
+    return M
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -170,50 +167,49 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def parameterize(n: int, v) -> Parameterization:
-    """Map a flat real vector to a feasible pair (P, M).
+def _scales(vm: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """max(1, ||M||) per row.  The singular value decomposition runs only
+    on rows whose Frobenius norm does not already certify ||M|| <= 1."""
+    scale = np.ones(len(M))
+    big = (_dots(vm, vm) > 1.0).nonzero()[0]
+    if big.size:
+        scale[big] = np.maximum(1.0, np.linalg.svd(M[big], compute_uv=False)[:, 0])
+    return scale
 
-    P = L L* is PSD for every input; M is rescaled by 1/max(1, ||M||)
-    so it is always a contraction.
-    """
-    L, m = _split(n, _rows(n, v, batch=False))
-    P = L[0] @ L[0].conj().T
-    M = _upper_matrices(n, m)[0]
-    M = M / max(1.0, operator_norm(M))
-    return Parameterization(P, M)
+
+def parameterize(n: int, v) -> Parameterization:
+    """Map a flat real vector (x, M) to the feasible pair (x x*, M / max(1, ||M||))."""
+    row = _rows(n, v, batch=False)
+    x = row[0, : 2 * n].view(np.complex128)
+    M = _upper_matrices(n, row[:, 2 * n :].view(np.complex128))
+    return Parameterization(np.outer(x, x.conj()), M[0] / _scales(row[:, 2 * n :], M)[0])
 
 
 def objective(n: int, v):
-    """Critical radius D/(D + |alpha|) of the instance encoded by v.
+    """Critical radius of the instance built from (x x*, M / max(1, ||M||)).
 
-    D = Tr(P) and alpha = sum_{i<j} (-2 P_ij) conj(M_ij), the pairing of
-    the induced strictly-upper part of A with M.  Returns 1 when alpha
-    vanishes (the majorant series degenerates to its constant term).
+    That is |x|^2 / (|x|^2 + 2|x*Mx| / max(1, ||M||)), the closed form
+    D/(D + |alpha|) with D = Tr(x x*) and alpha the pairing of the
+    induced strictly-upper part of A with the rescaled M.  Returns 1 when
+    x*Mx vanishes (the majorant series degenerates to its constant term).
+
     A flat vector gives a float; a (k, dimension(n)) array gives the k
-    values, each bit for bit the value of its row alone.
-
-    Hot path of the search: D comes straight off the factor entries
-    (Tr(L L*) is their squared length) and the rescale runs the singular
-    value decomposition only on rows whose Frobenius norm does not
-    already certify ||M|| <= 1.
+    values, each bit for bit the value of its row alone.  Complex
+    products go through BLAS only, since numpy's elementwise complex
+    multiply rounds differently in its vector and scalar loops, which
+    would make a row's value depend on its batch.
     """
     arr = np.asarray(v, dtype=np.float64)
     rows = _rows(n, arr, batch=arr.ndim == 2)
-    L, m = _split(n, rows)
-    P = (L @ L.conj().transpose(0, 2, 1)).reshape(len(rows), -1)
-    mc = m.conj()
-    pairing = _dots(mc, np.take(P, _layout(n)[1], axis=1))
-    # hypot rounds as abs() of a Python complex does; np.abs of a complex
-    # array can differ in the last bit, which would change search results
-    mag = 2.0 * np.hypot(pairing.real, pairing.imag)
-    big = (_dots(mc, m).real > 1.0).nonzero()[0]
-    if big.size:
-        top = np.linalg.svd(_upper_matrices(n, m[big]), compute_uv=False)[:, 0]
-        mag[big] /= np.maximum(1.0, top)
-    vL = rows[:, : n * n]
-    D = _dots(vL, vL)
+    vx, vm = rows[:, : 2 * n], rows[:, 2 * n :]
+    x = np.ascontiguousarray(vx).view(np.complex128)
+    M = _upper_matrices(n, np.ascontiguousarray(vm).view(np.complex128))
+    q = _dots(x.conj(), (M @ x[:, :, None])[:, :, 0])
+    # hypot rounds as abs() of a Python complex does
+    mag = 2.0 * np.hypot(q.real, q.imag) / _scales(vm, M)
+    D = _dots(vx, vx)
     values = np.divide(D, D + mag, out=np.ones_like(D), where=mag != 0.0)
-    return float(values[0]) if arr.ndim == 1 else values
+    return values if arr.ndim == 2 else float(values[0])
 
 
 def materialize(n: int, P, M, tol: float = DEFAULT_TOL) -> BohrInstance:
@@ -246,135 +242,79 @@ def materialize(n: int, P, M, tol: float = DEFAULT_TOL) -> BohrInstance:
 
 
 def _run_restart(cfg: SearchConfig, indices: range, eval_hook):
-    """Lockstep Nelder-Mead over the restarts `indices`: reflect 1, expand 2,
-    contract 0.5, shrink 0.5.
+    """Lockstep ADMM over the restarts `indices`, with penalty rho = n.
 
-    Restart i starts from a simplex at x0 ~ N(0, I) drawn from a
-    generator seeded by (cfg.seed, i), with edge 0.5 along each axis, and
-    stops once every vertex lies within simplex_tol of its best one, or
-    after max_iters iterations.  Vertices stay in place; each vertex sum
-    and the squared distances to each best vertex are kept up to date
-    incrementally.  The arrays hold only the live restarts, one row
-    each; a restart that stops is recorded and dropped.  Returns
-    (best vertex, RestartRecord) per index, in order.
+    Restart i starts from M = Y = a strictly-upper complex Gaussian drawn
+    from a generator seeded by (cfg.seed, i) and normalized to ||M|| = 1,
+    with Lambda = 0.  The arrays hold only the live restarts, one row
+    each; a restart that stops is recorded and dropped.  Returns (best
+    parameter vector, RestartRecord) per index, in order.
     """
-    n, dim = cfg.n, dimension(cfg.n)
-    block = max(1, _CALL_BYTES // (8 * dim))  # points per objective call
-
-    def fn(X):
-        if len(X) <= block:
-            values = objective(n, X)
-        else:
-            parts = [objective(n, X[i : i + block]) for i in range(0, len(X), block)]
-            values = np.concatenate(parts)
-        if eval_hook is not None:
-            for value in values:
-                eval_hook(float(value))
-        return values
-
-    x0 = np.array([np.random.default_rng([cfg.seed, i]).standard_normal(dim) for i in indices])
-    S = np.repeat(x0[:, None, :], dim + 1, axis=1)
-    S[:, 1:] += 0.5 * np.eye(dim)
-    F = fn(S.reshape(-1, dim)).reshape(len(indices), dim + 1)
-    vsum = S.sum(axis=1)
-    best = np.full(len(indices), -1)  # no vertex: the loop's first pass sets best and dist2
-    dist2 = np.empty(F.shape)
-    evals = np.full(len(indices), dim + 1)
-    lanes = rows = np.arange(len(indices))  # lanes: chunk position of each live restart
+    n = cfg.n
+    up, down = _upper(n)
+    strict = np.zeros((n, n), dtype=bool)
+    strict[up, down] = True
+    starts = [np.random.default_rng([cfg.seed, i]).standard_normal(n * (n - 1)) for i in indices]
+    M = _upper_matrices(n, np.array(starts).view(np.complex128))
+    M /= np.linalg.svd(M, compute_uv=False)[:, :1, None]
+    Y = M.copy()
+    Lam = np.zeros_like(M)
+    best = np.full(len(indices), np.inf)
+    best_rows = np.zeros((len(indices), dimension(n)))
+    lanes = np.arange(len(indices))  # chunk position of each live restart
     tol2 = cfg.simplex_tol * cfg.simplex_tol
     out: list = [None] * len(indices)
 
-    for it in range(cfg.max_iters + 1):
-        # a restart whose best vertex moved measures every distance again
-        nb = F.argmin(axis=1)
-        moved = (nb != best).nonzero()[0]
-        if moved.size:
-            best[moved] = nb[moved]
-            d = S[moved] - S[moved, best[moved]][:, None]
-            dist2[moved] = np.einsum("kij,kij->ki", d, d)
+    for it in range(1, cfg.max_iters + 1):
+        x = np.ascontiguousarray(np.linalg.eigh(M + M.conj().transpose(0, 2, 1))[1][:, :, -1])
+        rows = np.empty((lanes.size, dimension(n)))
+        packed = rows.view(np.complex128)
+        packed[:, :n] = x
+        packed[:, n:] = M[:, up, down]
+        values = objective(n, rows)
+        if eval_hook is not None:
+            for value in values:
+                eval_hook(float(value))
+        better = values < best
+        best[better] = values[better]
+        best_rows[better] = rows[better]
 
-        converged = dist2.max(axis=1) < tol2
+        # x x* through BLAS, like every complex product here (see objective)
+        xx = x[:, :, None] @ x.conj()[:, None, :]
+        new = np.where(strict, Y - Lam + xx / n, 0.0)
+        step = (new - M).reshape(lanes.size, -1).view(np.float64)
+        M = new
+        # Y is M + Lambda with its singular values clipped at 1, and the
+        # updated Lambda = Lambda + M - Y is the part that was clipped off
+        Z = M + Lam
+        U, s, Vh = np.linalg.svd(Z)
+        Lam = (U * np.maximum(s - 1.0, 0.0)[:, None, :]) @ Vh
+        Y = Z - Lam
+
+        converged = _dots(step, step) < tol2
         stopped = converged if it < cfg.max_iters else np.ones_like(converged)
         done = stopped.nonzero()[0]
         if done.size:
             for j in done:
                 stop = "converged" if converged[j] else "max_iters"
-                rec = RestartRecord(float(F[j, best[j]]), it, int(evals[j]), stop)
-                out[lanes[j]] = (S[j, best[j]].copy(), rec)
+                out[lanes[j]] = (best_rows[j].copy(), RestartRecord(float(best[j]), it, it, stop))
             live = ~stopped
-            S, F, vsum, best, dist2, evals, lanes = (
-                a[live] for a in (S, F, vsum, best, dist2, evals, lanes)
-            )
+            M, Y, Lam, best, best_rows, lanes = (a[live] for a in (M, Y, Lam, best, best_rows, lanes))
             if not lanes.size:
                 break
-            rows = np.arange(lanes.size)
-
-        order = F.argsort(axis=1, kind="stable")
-        w = order[:, -1]
-        f_best, f_second, f_worst = F[rows[:, None], order[:, _ENDS]].T
-        Sw = S[rows, w]
-        centroid = (vsum - Sw) / dim
-        xr = 2.0 * centroid - Sw
-        fr = fn(xr)
-        evals += 1
-        expand = fr < f_best
-        # expansion lanes and contraction lanes need a second point
-        second = (expand | ~(fr < f_second)).nonzero()[0]
-        x_new, f_new, shrink = xr, fr, second[:0]
-        if second.size:
-            c, sw, ex = centroid[second], Sw[second], expand[second]
-            inside = (fr[second] < f_worst[second])[:, None]
-            x2 = np.where(
-                ex[:, None],
-                c + 2.0 * (c - sw),
-                np.where(inside, c + 0.5 * (xr[second] - c), c + 0.5 * (sw - c)),
-            )
-            f2 = fn(x2)
-            evals[second] += 1
-            take = np.where(ex, f2 < fr[second], f2 < np.minimum(fr[second], f_worst[second]))
-            shrink = second[~(ex | take)]
-            # a shrinking lane puts its worst vertex back in place, so the
-            # replacement below leaves its simplex as it was
-            x_new, f_new = xr.copy(), fr.copy()
-            x_new[second[take]], f_new[second[take]] = x2[take], f2[take]
-            x_new[shrink], f_new[shrink] = Sw[shrink], f_worst[shrink]
-            shrunk = 0.25 * dist2[shrink]
-
-        vsum += x_new - Sw
-        S[rows, w] = x_new
-        F[rows, w] = f_new
-        d = x_new - S[rows, best]
-        dist2[rows, w] = _dots(d, d)
-
-        if shrink.size:
-            b = best[shrink]
-            keep = S[shrink, b]
-            Ss = S[shrink]
-            Ss += keep[:, None]
-            Ss *= 0.5
-            Ss[np.arange(shrink.size), b] = keep
-            others = np.ones(Ss.shape[:2], dtype=bool)
-            others[np.arange(shrink.size), b] = False
-            Fs = F[shrink]
-            Fs[others] = fn(Ss[others])
-            evals[shrink] += dim
-            S[shrink], F[shrink] = Ss, Fs
-            vsum[shrink] = Ss.sum(axis=1)
-            dist2[shrink] = shrunk
 
     return out
 
 
 def search(cfg: SearchConfig, eval_hook=None) -> RadiusEstimate:
-    """Minimize the critical radius over cfg.restarts independent descents.
+    """Minimize the critical radius over cfg.restarts independent ADMM runs.
 
     Restarts run in lockstep, in chunks of consecutive indices.  Each
     draws its start from a generator seeded by (cfg.seed, restart
     index), and ties between restarts break toward the lowest index.
     eval_hook, when given, observes every objective value.
     """
-    dim = dimension(cfg.n)
-    size = max(1, _SIMPLEX_BYTES // ((dim + 1) * dim * 8))
+    size = max(1, _STATE_BYTES // (3 * 16 * cfg.n * cfg.n))
     results = []
     for start in range(0, cfg.restarts, size):
         results += _run_restart(cfg, range(start, min(start + size, cfg.restarts)), eval_hook)

@@ -202,6 +202,31 @@ class TestWitnessCommand:
         assert payload["n"] == 3
         assert abs(payload["critical_radius"] - (SQRT2 - 1.0)) <= 1e-9
 
+    def test_sine_family_reaches_the_order_n_optimum(self, capsys):
+        code = main(["witness", "--family", "sine", "--n", "8", "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == EXIT_OK
+        assert payload["family"] == "sine"
+        assert payload["n"] == 8
+        assert abs(payload["critical_radius"] - 1.0 / (1.0 + 2.0 * math.cos(math.pi / 9))) <= 1e-9
+        assert payload["hypotheses"]["overall"] is True
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_n3_is_an_alias_of_sine_order_three(self, capsys, fmt):
+        assert main(["witness", "--family", "n3", "--format", fmt]) == EXIT_OK
+        alias = capsys.readouterr().out
+        assert main(["witness", "--family", "sine", "--n", "3", "--format", fmt]) == EXIT_OK
+        sine = capsys.readouterr().out
+        assert alias != sine
+        assert alias.replace("n3", "sine", 1) == sine
+
+    @pytest.mark.parametrize("extra", [[], ["--n", "1"], ["--n", "-4"]])
+    def test_sine_family_needs_a_valid_order(self, capsys, extra):
+        assert main(["witness", "--family", "sine", *extra]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
     def test_remark_family_reports_parameters(self, capsys):
         code = main(["witness", "--family", "remark-n2", "--r-target", "0.35", "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
@@ -256,6 +281,18 @@ class TestRadiusSearchCommand:
         for rec in payload["per_restart"]:
             assert rec["stop"] in ("converged", "max_iters")
             assert 0 < rec["iterations"] <= 300
+
+    def test_gap_to_the_optimum(self, capsys):
+        main(self.ARGS + ["--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["gap"] == payload["r_star"] - 1.0 / (1.0 + 2.0 * math.cos(math.pi / 3))
+        assert abs(payload["gap"]) <= 1e-6
+        keys = ["n", "restarts", "max_iters", "seed", "r_star", "gap", "evaluations"]
+        assert list(payload) == keys + ["per_restart_best", "per_restart"]
+        main(self.ARGS)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[4].startswith("r_star: ")
+        assert lines[5] == f"gap: {payload['gap']!r}"
 
     def test_stdout_reproducible(self, capsys):
         main(self.ARGS)

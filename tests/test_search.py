@@ -1,4 +1,4 @@
-"""Parameterization, the radius objective, and the multistart descent."""
+"""Parameterization, the radius objective, and the lockstep ADMM search."""
 
 import importlib
 import math
@@ -33,107 +33,64 @@ def materialized_radius(n, v):
 
 
 def rank_one_vector():
-    """n = 3 encoding of P = vv* for v = (1, sqrt(2), 1), M = shift."""
-    x = np.zeros(dimension(3))
-    x[0] = 1.0
-    x[3], x[5] = SQRT2, 1.0
-    x[9], x[13] = 1.0, 1.0
-    return x
+    """n = 3 encoding of x = (1, sqrt(2), 1) and M = shift."""
+    v = np.zeros(dimension(3))
+    v[0:6:2] = 1.0, SQRT2, 1.0
+    # strictly-upper entries (0,1), (0,2), (1,2) as (re, im) pairs
+    v[6], v[10] = 1.0, 1.0
+    return v
 
 
-def serial_nelder_mead(n, x0, max_iters, simplex_tol):
-    """One restart as a plain loop with one objective call per point:
-    the reference that the lockstep search must match bit for bit.
+def optimum(n):
+    return 1.0 / (1.0 + 2.0 * math.cos(math.pi / (n + 1)))
+
+
+def serial_admm(n, seed, index, max_iters, simplex_tol):
+    """One restart as a plain loop on 2-d arrays, scored one flat vector
+    at a time: the reference that the lockstep search must match bit for
+    bit.
 
     Returns (best value, iterations, evaluations, stop reason).
     """
-    dim = x0.size
-    simplex = np.tile(x0, (dim + 1, 1))
-    simplex[1:] += 0.5 * np.eye(dim)
-    fvals = np.array([objective(n, x) for x in simplex])
-    evals = dim + 1
-    vsum = simplex.sum(axis=0)
-    best = int(np.argmin(fvals))
-    diff = simplex - simplex[best]
-    dist2 = np.einsum("ij,ij->i", diff, diff)
-
-    def rebest():
-        nonlocal best
-        new_best = int(np.argmin(fvals))
-        if new_best != best:
-            best = new_best
-            d = simplex - simplex[best]
-            dist2[:] = np.einsum("ij,ij->i", d, d)
-
-    def replace(w, x, f):
-        vsum[:] += x - simplex[w]
-        simplex[w] = x
-        fvals[w] = f
-        d = x - simplex[best]
-        dist2[w] = d @ d
-        rebest()
-
-    for it in range(max_iters + 1):
-        if float(np.max(dist2)) < simplex_tol**2:
-            return float(fvals[best]), it, evals, "converged"
-        if it == max_iters:
-            return float(fvals[best]), it, evals, "max_iters"
-        order = np.argsort(fvals, kind="stable")
-        w = int(order[-1])
-        f_best, f_second, f_worst = fvals[order[0]], fvals[order[-2]], fvals[w]
-        centroid = (vsum - simplex[w]) / dim
-        xr = 2.0 * centroid - simplex[w]
-        fr = objective(n, xr)
-        evals += 1
-        if fr < f_best:
-            xe = centroid + 2.0 * (centroid - simplex[w])
-            fe = objective(n, xe)
-            evals += 1
-            if fe < fr:
-                replace(w, xe, fe)
-            else:
-                replace(w, xr, fr)
-        elif fr < f_second:
-            replace(w, xr, fr)
-        else:
-            if fr < f_worst:
-                xc = centroid + 0.5 * (xr - centroid)
-            else:
-                xc = centroid + 0.5 * (simplex[w] - centroid)
-            fc = objective(n, xc)
-            evals += 1
-            if fc < min(fr, f_worst):
-                replace(w, xc, fc)
-            else:
-                keep = simplex[best].copy()
-                simplex += keep
-                simplex *= 0.5
-                simplex[best] = keep
-                for i in range(dim + 1):
-                    if i != best:
-                        fvals[i] = objective(n, simplex[i])
-                evals += dim
-                vsum[:] = simplex.sum(axis=0)
-                dist2[:] *= 0.25
-                rebest()
+    up, down = np.triu_indices(n, 1)
+    M = np.zeros((n, n), dtype=np.complex128)
+    M[up, down] = np.random.default_rng([seed, index]).standard_normal(n * (n - 1)).view(complex)
+    M /= np.linalg.svd(M, compute_uv=False)[0]
+    Y, Lam = M.copy(), np.zeros_like(M)
+    best = math.inf
+    for it in range(1, max_iters + 1):
+        x = np.ascontiguousarray(np.linalg.eigh(M + M.conj().T)[1][:, -1])
+        best = min(best, objective(n, np.concatenate([x, M[up, down]]).view(np.float64)))
+        new = np.triu(Y - Lam + (x[:, None] @ x.conj()[None, :]) / n, 1)
+        step = (new - M).ravel().view(np.float64)
+        M = new
+        Z = M + Lam
+        U, s, Vh = np.linalg.svd(Z)
+        Lam = (U * np.maximum(s - 1.0, 0.0)) @ Vh
+        Y = Z - Lam
+        if step @ step < simplex_tol**2:
+            return best, it, it, "converged"
+    return best, max_iters, max_iters, "max_iters"
 
 
 class TestParameterize:
     def test_dimension_formula(self):
         assert dimension(2) == 6
-        assert dimension(3) == 15
-        assert dimension(8) == 120
+        assert dimension(3) == 12
+        assert dimension(8) == 72
 
     def test_zero_vector(self):
-        pm = parameterize(3, np.zeros(15))
+        pm = parameterize(3, np.zeros(12))
         assert np.array_equal(pm.P, np.zeros((3, 3)))
         assert np.array_equal(pm.M, np.zeros((3, 3)))
 
-    def test_identity_factor(self):
+    def test_unit_vector_gives_a_projection(self):
         v = np.zeros(6)
-        v[0] = v[1] = 1.0
+        v[2] = 1.0
+        v[4:] = 0.25, -0.5
         pm = parameterize(2, v)
-        assert np.array_equal(pm.P, np.eye(2))
+        assert np.array_equal(pm.P, np.diag([0.0, 1.0]))
+        assert np.array_equal(pm.M, np.array([[0.0, 0.25 - 0.5j], [0.0, 0.0]]))
 
     def test_rank_one_reconstruction(self):
         pm = parameterize(3, rank_one_vector())
@@ -141,11 +98,23 @@ class TestParameterize:
         assert np.max(np.abs(pm.P - target)) <= 1e-15
         assert np.array_equal(pm.M, np.eye(3, k=1))
 
+    def test_complex_entries_land_in_place(self):
+        n = 4
+        rng = np.random.default_rng(18)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        M = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1) / 10.0
+        v = np.concatenate([x, M[np.triu_indices(n, 1)]]).view(np.float64)
+        pm = parameterize(n, v)
+        assert np.array_equal(pm.P, np.outer(x, x.conj()))
+        assert np.array_equal(pm.M, M)
+
     def test_odd_length_rejected(self):
         with pytest.raises(BadLengthError):
             parameterize(2, np.zeros(5))
         with pytest.raises(BadLengthError):
             parameterize(3, np.zeros((3, 5)))
+        with pytest.raises(BadLengthError):
+            parameterize(3, np.zeros(15))
 
     def test_m_always_contracts(self):
         rng = np.random.default_rng(19)
@@ -153,14 +122,18 @@ class TestParameterize:
             n = int(rng.integers(2, 7))
             pm = parameterize(n, 10.0 * rng.standard_normal(dimension(n)))
             assert np.linalg.norm(pm.M, 2) <= 1.0 + 1e-12
+            assert np.array_equal(pm.M, np.triu(pm.M, 1))
 
     def test_p_always_psd(self):
         rng = np.random.default_rng(20)
         for _ in range(50):
             n = int(rng.integers(2, 7))
-            pm = parameterize(n, 5.0 * rng.standard_normal(dimension(n)))
+            v = 5.0 * rng.standard_normal(dimension(n))
+            pm = parameterize(n, v)
             eigs = np.linalg.eigvalsh(pm.P)
             assert eigs[0] >= -1e-10 * max(1.0, abs(eigs[-1]))
+            assert np.all(np.abs(eigs[:-1]) <= 1e-12 * eigs[-1])
+            assert abs(np.trace(pm.P).real - v[: 2 * n] @ v[: 2 * n]) <= 1e-12 * eigs[-1]
 
 
 class TestObjective:
@@ -170,10 +143,23 @@ class TestObjective:
     def test_rank_one_gap_order_three(self):
         assert abs(objective(3, rank_one_vector()) - (SQRT2 - 1.0)) <= 1e-15
 
+    def test_sine_vector_reaches_the_optimum(self):
+        for n in (2, 4, 8, 16):
+            x = np.sin(np.arange(1, n + 1) * math.pi / (n + 1))
+            v = np.zeros(dimension(n))
+            v[0 : 2 * n : 2] = x
+            # the superdiagonal entries (k, k+1) of the row-major strictly-upper order
+            first = np.cumsum([0] + [n - 1 - k for k in range(n - 2)])
+            v[2 * n + 2 * first] = 1.0
+            assert abs(objective(n, v) - optimum(n)) <= 1e-14
+
     def test_degenerate_pairing_returns_one(self):
         v = np.zeros(6)
-        v[0] = v[1] = 1.0
+        v[0] = 1.0
+        v[4] = 0.5
         assert objective(2, v) == 1.0
+        assert objective(2, np.zeros(6)) == 1.0
+        assert np.array_equal(objective(2, np.array([v, np.zeros(6)])), [1.0, 1.0])
 
     def test_length_check(self):
         with pytest.raises(BadLengthError):
@@ -185,10 +171,10 @@ class TestObjective:
 
     def test_batch_matches_single_rows_bit_for_bit(self):
         rng = np.random.default_rng(25)
-        for n in (2, 3, 5, 8):
+        for n in (2, 3, 5, 8, 13):
             for k in (1, 2, 7, 40):
                 rows = rng.standard_normal((k, dimension(n))) * rng.uniform(0.05, 3.0, (k, 1))
-                rows[0, n * n :] *= 0.1  # a row whose Frobenius norm skips the SVD
+                rows[0, 2 * n :] *= 0.1  # a row whose Frobenius norm skips the SVD
                 batch = objective(n, rows)
                 assert batch.shape == (k,)
                 singles = np.array([objective(n, row) for row in rows])
@@ -207,22 +193,23 @@ class TestObjective:
             assert abs(fast - materialized_radius(n, v)) <= 1e-8
 
     def test_invariant_under_factor_scaling(self):
+        # x is the factor of the gap P = x x*: its scale and phase drop out
         rng = np.random.default_rng(22)
         for _ in range(50):
             n = int(rng.integers(2, 6))
             v = rng.standard_normal(dimension(n))
             w = v.copy()
-            w[: n * n] *= 7.5
+            w[: 2 * n] *= 7.5
+            assert abs(objective(n, v) - objective(n, w)) <= 1e-10
+            w[: 2 * n] = (v[: 2 * n].view(complex) * np.exp(1j * rng.uniform(0, 6.3))).view(float)
             assert abs(objective(n, v) - objective(n, w)) <= 1e-10
 
     def test_per_evaluation_floors(self):
         rng = np.random.default_rng(23)
-        for _ in range(400):
-            v = rng.standard_normal(6) * rng.uniform(0.1, 5.0)
-            assert objective(2, v) >= 0.5 - 1e-9
-        for _ in range(400):
-            v = rng.standard_normal(15) * rng.uniform(0.1, 5.0)
-            assert objective(3, v) >= SQRT2 - 1.0 - 1e-9
+        for n, floor in ((2, 0.5), (3, SQRT2 - 1.0), (8, optimum(8))):
+            for _ in range(400):
+                v = rng.standard_normal(dimension(n)) * rng.uniform(0.1, 5.0)
+                assert objective(n, v) >= floor - 1e-9
 
 
 class TestMaterialize:
@@ -303,8 +290,8 @@ class TestSearch:
         assert np.array_equal(est1.instance.A, est2.instance.A)
 
     def test_seed_changes_trajectories(self):
-        a = search(SearchConfig(n=2, restarts=2, max_iters=200, seed=0))
-        b = search(SearchConfig(n=2, restarts=2, max_iters=200, seed=1))
+        a = search(SearchConfig(n=3, restarts=2, max_iters=20, seed=0))
+        b = search(SearchConfig(n=3, restarts=2, max_iters=20, seed=1))
         assert a.per_restart_best != b.per_restart_best
 
     def test_estimate_bookkeeping(self):
@@ -334,26 +321,25 @@ class TestSearch:
         assert many.per_restart[:2] == few.per_restart
         assert many.per_restart_best[:2] == few.per_restart_best
 
-    @pytest.mark.parametrize("n, restarts, max_iters", [(2, 3, 2000), (3, 2, 300)])
+    @pytest.mark.parametrize(
+        "n, restarts, max_iters", [(2, 3, 2000), (3, 2, 300), (3, 2, 40), (4, 3, 2000)]
+    )
     def test_lockstep_matches_serial_restarts(self, n, restarts, max_iters):
-        # n=2 converges and shrinks on the way; n=3 stops at max_iters
+        # every restart converges after its own step count, except at
+        # max_iters=40, where n=3 stops at max_iters
         cfg = SearchConfig(n=n, restarts=restarts, max_iters=max_iters, seed=4)
         est = search(cfg)
         for i, rec in enumerate(est.per_restart):
-            x0 = np.random.default_rng([cfg.seed, i]).standard_normal(dimension(n))
-            ref = serial_nelder_mead(n, x0, cfg.max_iters, cfg.simplex_tol)
+            ref = serial_admm(n, cfg.seed, i, cfg.max_iters, cfg.simplex_tol)
             assert (rec.best, rec.iterations, rec.evaluations, rec.stop) == ref
 
     def test_chunking_does_not_change_the_result(self, monkeypatch):
         cfg = SearchConfig(n=3, restarts=5, max_iters=400, seed=17)
         whole = search(cfg)
-        simplex = (dimension(3) + 1) * dimension(3) * 8
-        point = dimension(3) * 8
-        # chunks of one restart and one point per objective call, then
-        # chunks of two restarts and four points per call
-        for simplex_bytes, call_bytes in ((1, 1), (2 * simplex, 4 * point)):
-            monkeypatch.setattr(search_module, "_SIMPLEX_BYTES", simplex_bytes)
-            monkeypatch.setattr(search_module, "_CALL_BYTES", call_bytes)
+        state = 3 * 16 * 3 * 3  # M, Y and Lambda of one order-3 restart
+        # chunks of one restart, then chunks of two
+        for state_bytes in (1, 2 * state):
+            monkeypatch.setattr(search_module, "_STATE_BYTES", state_bytes)
             chunked = search(cfg)
             assert chunked.per_restart == whole.per_restart
             assert np.array_equal(chunked.instance.A, whole.instance.A)
@@ -368,6 +354,14 @@ class TestSearch:
         est = search(cfg)
         assert all(rec.iterations < cfg.max_iters for rec in est.per_restart)
         assert [rec.stop for rec in est.per_restart] == ["converged"] * 4
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_reaches_the_closed_form_optimum(self, n):
+        est = search(SearchConfig(n=n, restarts=2, max_iters=20000, seed=7))
+        assert abs(est.r_star - optimum(n)) <= 1e-6
+        assert est.gap == est.r_star - optimum(n)
+        inst_r = critical_radius(alpha_series(est.instance), float(np.trace(est.instance.S).real))
+        assert abs(inst_r - est.r_star) <= 1e-8
 
     def test_never_beats_the_sine_family(self):
         # the sine witness radius 1/(1 + 2 cos(pi/(n+1))) is the order-n minimum
