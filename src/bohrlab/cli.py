@@ -190,7 +190,7 @@ def cmd_verify(args) -> int:
         series = alpha_series(inst, tol=tol)
         check = check_inequality(inst, args.r, tol=tol)
         try:
-            radius = critical_radius(series, float(np.trace(inst.S).real))
+            radius = critical_radius(series, check.rhs)
         except BudgetBelowAlpha0Error:
             radius = 0.0
 
@@ -502,10 +502,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (DocumentError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    # a DocumentError is a ValueError; an OverflowError is abs() of a
+    # complex entry or coefficient beyond the float range
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

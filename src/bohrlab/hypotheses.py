@@ -9,7 +9,9 @@ Tr(S A_m) = 0 and Tr(A A_m) = 0.
 
 Failures are reported, never raised: each condition carries a signed
 slack (positive = margin, negative = violation magnitude) so callers can
-rank or penalize near-misses.
+rank or penalize near-misses.  A slack or gap eigenvalue that overflows
+float arithmetic is no verdict: it raises NonFiniteError instead, and
+the checks silence numpy's overflow warnings for that reason.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .linalg import (
     max_abs,
     operator_norm,
     re_part,
+    require_finite,
 )
 from .series import BohrInstance, Mode
 
@@ -63,6 +66,9 @@ class ConditionReport:
     name: str
     passed: bool
     slack: float
+
+    def __post_init__(self):
+        require_finite(self.slack, f"the {self.name} slack")
 
 
 @dataclass(frozen=True)
@@ -109,8 +115,8 @@ def _gap_psd_condition(a: np.ndarray, s: np.ndarray, tol: float) -> ConditionRep
     rounding is allowed even at tol = 0.
     """
     gap = s - re_part(a)
-    gap = 0.5 * (gap + adjoint(gap))
-    values = hermitian_eigenvalues(gap)
+    gap = require_finite(0.5 * (gap + adjoint(gap)), "the gap S - Re(A)")
+    values = require_finite(hermitian_eigenvalues(gap), "an eigenvalue of the gap S - Re(A)")
     lam_min = float(values[-1]) if values.size else 0.0
     scale = max(1.0, float(np.max(np.abs(values))) if values.size else 0.0)
     floor = (tol + values.size * _EPS) * scale
@@ -123,6 +129,7 @@ def _sequence_norm_condition(mats: tuple[np.ndarray, ...], tol: float) -> Condit
     return ConditionReport("sequence_norm", bool(worst <= 1.0 + tol), 1.0 - worst)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_theorem_hypotheses(inst: BohrInstance, tol: float = DEFAULT_TOL) -> HypothesisReport:
     """Report the six triangular-picture conditions for an instance.
 
@@ -153,6 +160,7 @@ def check_theorem_hypotheses(inst: BohrInstance, tol: float = DEFAULT_TOL) -> Hy
     return HypothesisReport("theorem", tuple(conds))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_relaxed_hypotheses(inst: BohrInstance, tol: float = DEFAULT_TOL) -> HypothesisReport:
     """Report the six trace-orthogonality conditions for an instance."""
     a, s = inst.A, inst.S

@@ -8,6 +8,8 @@ both go through LAPACK.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 DEFAULT_TOL = 1e-10
@@ -15,6 +17,21 @@ DEFAULT_TOL = 1e-10
 
 class NotHermitianError(ValueError):
     """Input matrix is not Hermitian within the requested tolerance."""
+
+
+class NonFiniteError(ValueError):
+    """A quantity computed from finite entries overflowed float arithmetic."""
+
+
+def require_finite(value, what: str):
+    """Return value, or raise NonFiniteError when any part of it is inf
+    or nan.  Validated entries are finite, so such a value comes from an
+    overflow, and a verdict built on it would mean nothing."""
+    # math.isfinite first: np.isfinite costs microseconds on a lone float
+    finite = math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()
+    if not finite:
+        raise NonFiniteError(f"{what} is not finite: the input overflows float arithmetic")
+    return value
 
 
 def as_complex_matrix(value, name: str = "matrix") -> np.ndarray:
@@ -78,7 +95,8 @@ def _hermitian_deviation(a: np.ndarray) -> float:
 
 def _require_hermitian(a: np.ndarray, tol: float, name: str) -> None:
     dev = _hermitian_deviation(a)
-    if dev > tol * max(1.0, max_abs(a)):
+    # written so that a nan deviation fails too
+    if not dev <= tol * max(1.0, max_abs(a)):
         raise NotHermitianError(f"{name} deviates from Hermitian by {dev:.3e}")
 
 

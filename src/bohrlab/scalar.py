@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import require_finite
 from .series import AlphaSeries, bohr_sum, critical_radius
 
 
@@ -76,6 +77,7 @@ def scalar_bohr_sum(s: CoeffSeries, r: float) -> float:
     return bohr_sum(_majorant(s), r)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def sup_norm_estimate(s: CoeffSeries, gridpoints: int = 4096) -> float:
     """max_j |f(e^{i theta_j})| over a uniform grid of gridpoints angles.
 
@@ -105,11 +107,17 @@ class ClassicalCheck:
     lhs: float
     rhs: float
 
+    def __post_init__(self):
+        require_finite(self.lhs, "the Bohr sum")
+        require_finite(self.rhs, "the sup-norm estimate")
+
 
 def classical_verify(
     s: CoeffSeries, r: float, gridpoints: int = 4096, tol: float = 1e-9
 ) -> ClassicalCheck:
-    """Compare the Bohr sum at r against the grid sup-norm estimate."""
+    """Compare the Bohr sum at r against the grid sup-norm estimate.
+
+    A sum or estimate that overflows raises NonFiniteError."""
     lhs = scalar_bohr_sum(s, r)
     rhs = sup_norm_estimate(s, gridpoints)
     return ClassicalCheck(holds=bool(lhs <= rhs + tol), lhs=lhs, rhs=rhs)

@@ -21,11 +21,12 @@ operator norm, with penalty rho = n.  One step:
     Y      <- M + Lambda with its singular values clipped at 1
     Lambda <- Lambda + M - Y
 
-Before M moves, each step scores its pair (x, M) with `objective`: the
-radius of the instance built from (x x*, M / max(1, ||M||)), so every
-reported value belongs to a feasible instance.  A restart stops once a
-step moves M by less than simplex_tol in Frobenius norm, or after
-max_iters steps.
+Before M moves, each step scores the stacked pairs (x, M) of the live
+restarts with `objective`: the radius of the instance built from
+(x x*, M / max(1, ||M||)), so every reported value belongs to a feasible
+instance.  Each restart keeps its best pair; search() builds the
+winner's instance from it.  A restart stops once a step moves M by less
+than simplex_tol in Frobenius norm, or after max_iters steps.
 
 Restarts run in lockstep: every live restart takes its step at once,
 with one batched eigh, two batched SVDs (the projection and the honest
@@ -39,7 +40,6 @@ stacked ADMM state fits a fixed memory bound (_STATE_BYTES).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -51,7 +51,7 @@ from .series import BohrInstance
 
 
 class BadLengthError(ValueError):
-    """Parameter vector length does not match the order."""
+    """An array's shape does not match the order."""
 
 
 class NotPSDError(ValueError):
@@ -81,7 +81,7 @@ class SearchConfig:
             raise ValueError(f"simplex_tol must be finite and > 0, got {self.simplex_tol}")
 
 
-# bound on the bytes of the ADMM state (M, Y and Lambda) one chunk of restarts stacks
+# bound on the bytes one chunk of restarts stacks: M, Y, Lambda and the best M
 _STATE_BYTES = 8 << 20
 
 
@@ -118,48 +118,6 @@ class RadiusEstimate:
         return self.r_star - 1.0 / (1.0 + 2.0 * math.cos(math.pi / (n + 1)))
 
 
-@dataclass(frozen=True)
-class Parameterization:
-    P: np.ndarray
-    M: np.ndarray
-
-
-def dimension(n: int) -> int:
-    """Length of the parameter vector at order n: 2n reals for x plus
-    n(n-1) for the strictly-upper complex entries of M.
-
-    Layout: v[:2n] is x as (re, im) pairs; the rest is the strictly-upper
-    entries of M as (re, im) pairs in row-major order.
-    """
-    return n * (n + 1)
-
-
-@functools.cache
-def _upper(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the strictly-upper entries, row-major."""
-    rows, cols = np.triu_indices(n, 1)
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return rows, cols
-
-
-def _rows(n: int, v, batch: bool) -> np.ndarray:
-    """v as a (k, dimension(n)) float array: one row, or k rows if batch."""
-    rows = np.ascontiguousarray(v, dtype=np.float64)
-    if rows.ndim != 1 + batch or rows.shape[-1] != dimension(n):
-        what = "rows" if batch else "a flat vector"
-        raise BadLengthError(
-            f"expected {what} of length {dimension(n)} for n = {n}, got shape {rows.shape}"
-        )
-    return rows.reshape(-1, dimension(n))
-
-
-def _upper_matrices(n: int, m: np.ndarray) -> np.ndarray:
-    M = np.zeros((m.shape[0], n, n), dtype=np.complex128)
-    M[:, _upper(n)[0], _upper(n)[1]] = m
-    return M
-
-
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise sum(a * b), each row through the BLAS dot that a 1-D
     `a @ b` calls.  Rows must be contiguous: the dot sums a strided
@@ -167,49 +125,43 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _scales(vm: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """max(1, ||M||) per row.  The singular value decomposition runs only
-    on rows whose Frobenius norm does not already certify ||M|| <= 1."""
+def _scales(M: np.ndarray) -> np.ndarray:
+    """max(1, ||M||) for each matrix of a (k, n, n) stack.  The singular
+    value decomposition runs only on matrices whose Frobenius norm does
+    not already certify ||M|| <= 1."""
+    flat = M.reshape(len(M), -1).view(np.float64)
     scale = np.ones(len(M))
-    big = (_dots(vm, vm) > 1.0).nonzero()[0]
+    big = (_dots(flat, flat) > 1.0).nonzero()[0]
     if big.size:
         scale[big] = np.maximum(1.0, np.linalg.svd(M[big], compute_uv=False)[:, 0])
     return scale
 
 
-def parameterize(n: int, v) -> Parameterization:
-    """Map a flat real vector (x, M) to the feasible pair (x x*, M / max(1, ||M||))."""
-    row = _rows(n, v, batch=False)
-    x = row[0, : 2 * n].view(np.complex128)
-    M = _upper_matrices(n, row[:, 2 * n :].view(np.complex128))
-    return Parameterization(np.outer(x, x.conj()), M[0] / _scales(row[:, 2 * n :], M)[0])
+def objective(x, M) -> np.ndarray:
+    """Critical radius of each instance built from (x x*, M / max(1, ||M||)).
 
-
-def objective(n: int, v):
-    """Critical radius of the instance built from (x x*, M / max(1, ||M||)).
-
-    That is |x|^2 / (|x|^2 + 2|x*Mx| / max(1, ||M||)), the closed form
-    D/(D + |alpha|) with D = Tr(x x*) and alpha the pairing of the
-    induced strictly-upper part of A with the rescaled M.  Returns 1 when
-    x*Mx vanishes (the majorant series degenerates to its constant term).
-
-    A flat vector gives a float; a (k, dimension(n)) array gives the k
-    values, each bit for bit the value of its row alone.  Complex
-    products go through BLAS only, since numpy's elementwise complex
-    multiply rounds differently in its vector and scalar loops, which
-    would make a row's value depend on its batch.
+    x is a (k, n) complex array and M a (k, n, n) stack of strictly upper
+    matrices (not checked; only then is the value the radius of a
+    feasible instance).  Row i gives |x|^2 / (|x|^2 + 2|x*Mx| / max(1, ||M||)),
+    the closed form D/(D + |alpha|) with D = Tr(x x*) and alpha the
+    pairing of the induced strictly-upper part of A with the rescaled M,
+    or 1 when x*Mx vanishes (the majorant series degenerates to its
+    constant term).  Each of the k values is bit for bit the value of its
+    row alone: complex products go through BLAS only, since numpy's
+    elementwise complex multiply rounds differently in its vector and
+    scalar loops.
     """
-    arr = np.asarray(v, dtype=np.float64)
-    rows = _rows(n, arr, batch=arr.ndim == 2)
-    vx, vm = rows[:, : 2 * n], rows[:, 2 * n :]
-    x = np.ascontiguousarray(vx).view(np.complex128)
-    M = _upper_matrices(n, np.ascontiguousarray(vm).view(np.complex128))
+    x = np.ascontiguousarray(x, dtype=np.complex128)
+    M = np.ascontiguousarray(M, dtype=np.complex128)
+    if x.ndim != 2 or M.shape != x.shape + x.shape[-1:]:
+        raise BadLengthError(
+            f"expected x of shape (k, n) and M of shape (k, n, n), got {x.shape} and {M.shape}"
+        )
     q = _dots(x.conj(), (M @ x[:, :, None])[:, :, 0])
     # hypot rounds as abs() of a Python complex does
-    mag = 2.0 * np.hypot(q.real, q.imag) / _scales(vm, M)
-    D = _dots(vx, vx)
-    values = np.divide(D, D + mag, out=np.ones_like(D), where=mag != 0.0)
-    return values if arr.ndim == 2 else float(values[0])
+    mag = 2.0 * np.hypot(q.real, q.imag) / _scales(M)
+    D = _dots(x.view(np.float64), x.view(np.float64))
+    return np.divide(D, D + mag, out=np.ones_like(D), where=mag != 0.0)
 
 
 def materialize(n: int, P, M, tol: float = DEFAULT_TOL) -> BohrInstance:
@@ -247,37 +199,34 @@ def _run_restart(cfg: SearchConfig, indices: range, eval_hook):
     Restart i starts from M = Y = a strictly-upper complex Gaussian drawn
     from a generator seeded by (cfg.seed, i) and normalized to ||M|| = 1,
     with Lambda = 0.  The arrays hold only the live restarts, one row
-    each; a restart that stops is recorded and dropped.  Returns (best
-    parameter vector, RestartRecord) per index, in order.
+    each; a restart that stops is recorded and dropped.  Returns (best x,
+    best M, RestartRecord) per index, in order.
     """
     n = cfg.n
-    up, down = _upper(n)
-    strict = np.zeros((n, n), dtype=bool)
-    strict[up, down] = True
+    strict = np.triu(np.ones((n, n), dtype=bool), 1)
     starts = [np.random.default_rng([cfg.seed, i]).standard_normal(n * (n - 1)) for i in indices]
-    M = _upper_matrices(n, np.array(starts).view(np.complex128))
+    M = np.zeros((len(indices), n, n), dtype=np.complex128)
+    M[:, strict] = np.array(starts).view(np.complex128)
     M /= np.linalg.svd(M, compute_uv=False)[:, :1, None]
     Y = M.copy()
     Lam = np.zeros_like(M)
     best = np.full(len(indices), np.inf)
-    best_rows = np.zeros((len(indices), dimension(n)))
+    best_x = np.zeros((len(indices), n), dtype=np.complex128)
+    best_M = np.zeros_like(M)
     lanes = np.arange(len(indices))  # chunk position of each live restart
     tol2 = cfg.simplex_tol * cfg.simplex_tol
     out: list = [None] * len(indices)
 
     for it in range(1, cfg.max_iters + 1):
         x = np.ascontiguousarray(np.linalg.eigh(M + M.conj().transpose(0, 2, 1))[1][:, :, -1])
-        rows = np.empty((lanes.size, dimension(n)))
-        packed = rows.view(np.complex128)
-        packed[:, :n] = x
-        packed[:, n:] = M[:, up, down]
-        values = objective(n, rows)
+        values = objective(x, M)
         if eval_hook is not None:
             for value in values:
                 eval_hook(float(value))
         better = values < best
         best[better] = values[better]
-        best_rows[better] = rows[better]
+        best_x[better] = x[better]
+        best_M[better] = M[better]
 
         # x x* through BLAS, like every complex product here (see objective)
         xx = x[:, :, None] @ x.conj()[:, None, :]
@@ -297,9 +246,12 @@ def _run_restart(cfg: SearchConfig, indices: range, eval_hook):
         if done.size:
             for j in done:
                 stop = "converged" if converged[j] else "max_iters"
-                out[lanes[j]] = (best_rows[j].copy(), RestartRecord(float(best[j]), it, it, stop))
+                record = RestartRecord(float(best[j]), it, it, stop)
+                out[lanes[j]] = (best_x[j].copy(), best_M[j].copy(), record)
             live = ~stopped
-            M, Y, Lam, best, best_rows, lanes = (a[live] for a in (M, Y, Lam, best, best_rows, lanes))
+            M, Y, Lam, best, best_x, best_M, lanes = (
+                a[live] for a in (M, Y, Lam, best, best_x, best_M, lanes)
+            )
             if not lanes.size:
                 break
 
@@ -312,17 +264,18 @@ def search(cfg: SearchConfig, eval_hook=None) -> RadiusEstimate:
     Restarts run in lockstep, in chunks of consecutive indices.  Each
     draws its start from a generator seeded by (cfg.seed, restart
     index), and ties between restarts break toward the lowest index.
-    eval_hook, when given, observes every objective value.
+    eval_hook, when given, observes every objective value.  The instance
+    is built from the winner's (x x*, M / max(1, ||M||)).
     """
-    size = max(1, _STATE_BYTES // (3 * 16 * cfg.n * cfg.n))
+    size = max(1, _STATE_BYTES // (4 * 16 * cfg.n * cfg.n))
     results = []
     for start in range(0, cfg.restarts, size):
         results += _run_restart(cfg, range(start, min(start + size, cfg.restarts)), eval_hook)
 
-    records = tuple(rec for _, rec in results)
+    records = tuple(rec for _, _, rec in results)
     winner = min(range(cfg.restarts), key=lambda i: (records[i].best, i))
-    pm = parameterize(cfg.n, results[winner][0])
-    instance = materialize(cfg.n, pm.P, pm.M)
+    x, M, _ = results[winner]
+    instance = materialize(cfg.n, np.outer(x, x.conj()), M / _scales(M[None])[0])
     return RadiusEstimate(records[winner].best, instance, records)
 
 

@@ -15,7 +15,7 @@ from typing import Literal
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, as_complex_matrix, trace_pairing
+from .linalg import DEFAULT_TOL, as_complex_matrix, require_finite, trace_pairing
 
 Mode = Literal["theorem", "relaxed"]
 
@@ -158,6 +158,7 @@ class BohrInstance:
         return self.A.shape[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def alpha_series(inst: BohrInstance, tol: float = DEFAULT_TOL) -> AlphaSeries:
     """Alpha series of an instance.
 
@@ -230,11 +231,16 @@ class InequalityCheck:
     slack: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "slack", self.rhs - self.lhs)
+        # non-finite when either side is, or when the difference overflows
+        slack = require_finite(self.rhs - self.lhs, f"Tr(S) - Bohr sum = {self.rhs} - {self.lhs}")
+        object.__setattr__(self, "slack", slack)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_inequality(inst: BohrInstance, r: float, tol: float = DEFAULT_TOL) -> InequalityCheck:
-    """Evaluate the majorant sum at r against the budget Re Tr(S)."""
+    """Evaluate the majorant sum at r against the budget Re Tr(S).
+
+    A Bohr sum, budget Tr(S) or slack that overflows raises NonFiniteError."""
     lhs = bohr_sum(alpha_series(inst, tol=tol), r)
     rhs = float(np.trace(inst.S).real)
     return InequalityCheck(holds=bool(lhs <= rhs + tol), lhs=lhs, rhs=rhs)

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,29 @@ def write_instance(tmp_path, inst, name="instance.json"):
     path = tmp_path / name
     save_instance(inst, str(path))
     return str(path)
+
+
+def overflow_instance(scale, mode="theorem"):
+    """A = [[0, s], [0, 0]], S = diag(s, s) and the shift: every entry
+    finite, but at s = 1e308 Tr(S) and the gap overflow."""
+    a = np.array([[0.0, scale], [0.0, 0.0]])
+    return BohrInstance(a, np.diag([scale, scale]), SequenceSpec.constant(np.eye(2, k=1)), mode)
+
+
+def run_strict(argv, capsys):
+    """main(argv) with every RuntimeWarning an error; returns (code, out, err)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def assert_one_error_line(code, out, err):
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 class TestDocuments:
@@ -162,6 +186,47 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert "S[0][0]" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            overflow_instance(1e308),
+            overflow_instance(1e308, "relaxed"),
+            # a finite gap, but Tr(S) = 2.4e308
+            BohrInstance(
+                np.zeros((3, 3)), np.diag([8e307] * 3), SequenceSpec.constant(np.eye(3, k=1))
+            ),
+            # three pairings of 1e308: the Bohr sum overflows at r = 0.9
+            BohrInstance(
+                np.eye(2, k=1) * 1e308,
+                np.diag([1e307, 1e307]),
+                SequenceSpec.finite([np.eye(2, k=1)] * 3),
+            ),
+            # a pairing whose modulus is beyond the float range
+            BohrInstance(
+                np.eye(2, k=1) * (1.5e308 + 1.5e308j),
+                np.eye(2),
+                SequenceSpec.constant(np.eye(2, k=1)),
+            ),
+        ],
+        ids=["gap", "relaxed-gap", "trace-s", "bohr-sum", "pairing-modulus"],
+    )
+    def test_overflowing_document_exits_one(self, tmp_path, capsys, inst):
+        path = write_instance(tmp_path, inst)
+        for fmt in ("text", "json"):
+            code, out, err = run_strict(["verify", path, "--r", "0.9", "--format", fmt], capsys)
+            assert_one_error_line(code, out, err)
+
+    def test_scaled_overflow_document_is_decided(self, tmp_path, capsys):
+        # the same shape at 1e8 is violated at 0.9, with radius 2/3
+        path = write_instance(tmp_path, overflow_instance(1e8))
+        code, out, err = run_strict(["verify", path, "--r", "0.9", "--format", "json"], capsys)
+        assert code == EXIT_VIOLATED
+        assert err == ""
+        payload = json.loads(out)
+        assert payload["hypotheses"]["overall"]
+        assert payload["critical_radius"] == 0.666666666666758
+        assert all(math.isfinite(payload["check"][k]) for k in ("lhs", "rhs", "slack"))
 
     @pytest.mark.parametrize("n", [3, 4, 8, 100])
     def test_zero_tolerance_passes_rank_one_gap_witnesses(self, tmp_path, capsys, n):
@@ -401,6 +466,19 @@ class TestScalarCommand:
     def test_bad_radius(self, capsys):
         assert main(["scalar", "--moebius", "0.5", "--r", "1.0"]) == EXIT_INPUT
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--coeffs", "1e308,1e308", "--r", "0.99"],  # the Bohr sum
+            ["--coeffs", "1,1", "--tail", "1e308", "0.5", "--r", "0.5"],  # the FFT estimate
+            ["--coeffs", "1.5e308+1.5e308j", "--r", "0.5"],  # a modulus
+        ],
+    )
+    def test_overflow_exits_one(self, capsys, extra):
+        for fmt in ("text", "json"):
+            code, out, err = run_strict(["scalar", *extra, "--format", fmt], capsys)
+            assert_one_error_line(code, out, err)
 
 
 class TestArgumentErrors:

@@ -1,17 +1,21 @@
 """Hypothesis reporting for both condition sets, plus the trace lemma."""
 
+import math
+
 import numpy as np
 import pytest
 
 from bohrlab.hypotheses import (
     RELAXED_CONDITIONS,
     THEOREM_CONDITIONS,
+    ConditionReport,
     PreconditionViolatedError,
     check_hypotheses,
     check_relaxed_hypotheses,
     check_theorem_hypotheses,
     orthogonality_check,
 )
+from bohrlab.linalg import NonFiniteError
 from bohrlab.series import BohrInstance, SequenceSpec
 from bohrlab.witnesses import general_witness, remark_two_witness, sine_witness
 
@@ -201,3 +205,50 @@ class TestOrthogonalityLemma:
     def test_rejects_non_strict_a(self):
         with pytest.raises(PreconditionViolatedError):
             orthogonality_check(np.eye(2), np.eye(2))
+
+
+class TestNonFinite:
+    """Finite entries whose arithmetic overflows: an error, never a verdict."""
+
+    @staticmethod
+    def check_both_modes(inst, match):
+        for check in (check_theorem_hypotheses, check_relaxed_hypotheses):
+            with pytest.raises(NonFiniteError, match=match):
+                check(inst)
+
+    def test_slack_must_be_finite(self):
+        for slack in (math.inf, -math.inf, math.nan):
+            with pytest.raises(NonFiniteError, match="gap_psd"):
+                ConditionReport("gap_psd", True, slack)
+        assert ConditionReport("gap_psd", False, -1e308).slack == -1e308
+
+    def test_gap_that_overflows(self):
+        # S - Re(A) is finite, its symmetrization 2e308 / 2 is not
+        a = np.array([[0.0, 1e308], [0.0, 0.0]])
+        inst = BohrInstance(a, np.diag([1e308, 1e308]), SequenceSpec.constant(np.eye(2, k=1)))
+        self.check_both_modes(inst, "the gap S - Re[(]A[)] is not finite")
+
+    def test_gap_eigenvalue_that_overflows(self):
+        # the gap 8e307 J has the eigenvalue 2.4e308 = inf in float
+        inst = BohrInstance.from_gap(np.full((3, 3), 8e307), np.eye(3, k=1), 0.0)
+        self.check_both_modes(inst, "an eigenvalue of the gap")
+
+    def test_trace_that_overflows(self):
+        a = np.diag([1e308, 1e308])
+        inst = BohrInstance(a, a, SequenceSpec.constant(np.eye(2, k=1)))
+        self.check_both_modes(inst, "nonnegative_trace_a slack")
+
+    def test_sequence_norm_that_overflows(self):
+        m = np.full((2, 2), 1e308)
+        inst = BohrInstance(np.eye(2), 2.0 * np.eye(2), SequenceSpec.constant(m))
+        with pytest.raises(NonFiniteError, match="sequence_norm slack"):
+            check_theorem_hypotheses(inst)
+        # the relaxed set meets the overflow first in Tr(S M)
+        with pytest.raises(NonFiniteError, match="orthogonal_to_s slack"):
+            check_relaxed_hypotheses(inst)
+
+    def test_large_finite_instance_still_decides(self):
+        # the same shape at 1e8 overflows nothing
+        a = np.array([[0.0, 1e8], [0.0, 0.0]])
+        inst = BohrInstance(a, np.diag([1e8, 1e8]), SequenceSpec.constant(np.eye(2, k=1)))
+        assert check_theorem_hypotheses(inst).overall

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bohrlab.linalg import (
+    NonFiniteError,
     NotHermitianError,
     adjoint,
     as_complex_matrix,
@@ -19,6 +20,7 @@ from bohrlab.linalg import (
     max_abs,
     operator_norm,
     re_part,
+    require_finite,
     singular_values,
     trace_norm,
     trace_pairing,
@@ -215,6 +217,24 @@ class TestEigenvalues:
             residual = max_abs(h @ vectors - vectors * values)
             assert residual <= 1e-12 * scale
             assert max_abs(vectors.conj().T @ vectors - np.eye(n)) <= 1e-12
+
+
+class TestNonFinite:
+    def test_nan_entries_are_not_hermitian(self):
+        # a nan deviation compares false against any tolerance
+        for h in (np.array([[np.nan, 0.0], [0.0, 1.0]]), np.array([[1.0, np.nan], [np.nan, 1.0]])):
+            with pytest.raises(NotHermitianError):
+                hermitian_eigenvalues(h)
+            with pytest.raises(NotHermitianError):
+                hermitian_eigensystem(h)
+
+    def test_require_finite(self):
+        assert require_finite(2.5, "x") == 2.5
+        values = np.array([1.0, -3.0])
+        assert require_finite(values, "x") is values
+        for bad in (math.inf, -math.inf, math.nan, np.array([1.0, np.inf]), complex(1.0, math.nan)):
+            with pytest.raises(NonFiniteError, match="the thing is not finite"):
+                require_finite(bad, "the thing")
 
 
 class TestNorms:

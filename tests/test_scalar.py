@@ -14,6 +14,7 @@ from bohrlab.scalar import (
     scalar_bohr_sum,
     sup_norm_estimate,
 )
+from bohrlab.linalg import NonFiniteError
 from bohrlab.series import RadiusOutOfRangeError
 
 
@@ -143,6 +144,22 @@ class TestClassicalVerify:
             c = c / np.sum(np.abs(c)) * rng.uniform(0.2, 1.0)
             r = float(rng.uniform(0.0, 1.0 / 3.0))
             assert classical_verify(CoeffSeries(tuple(c)), r).holds
+
+
+    def test_overflowing_sum_is_an_error(self):
+        with pytest.raises(NonFiniteError, match="the Bohr sum"):
+            classical_verify(CoeffSeries((1e308, 1e308)), 0.99)
+
+    def test_overflowing_sup_norm_is_an_error(self):
+        # the sum 2 + 1e308 r / (1 - r/2) stays finite at r = 0.5, the FFT does not
+        with pytest.raises(NonFiniteError, match="the sup-norm estimate"):
+            classical_verify(CoeffSeries((1.0, 1.0), (1e308, 0.5)), 0.5)
+
+    def test_results_must_be_finite(self):
+        with pytest.raises(NonFiniteError):
+            ClassicalCheck(True, math.inf, 1.0)
+        with pytest.raises(NonFiniteError):
+            ClassicalCheck(True, 1.0, math.nan)
 
 
 class TestCrossingRadius:

@@ -1,4 +1,4 @@
-"""Parameterization, the radius objective, and the lockstep ADMM search."""
+"""The radius objective, materialized instances, and the lockstep ADMM search."""
 
 import importlib
 import math
@@ -12,10 +12,8 @@ from bohrlab.search import (
     NotPSDError,
     SearchConfig,
     calculus_claim_oracle,
-    dimension,
     materialize,
     objective,
-    parameterize,
     search,
 )
 from bohrlab.series import alpha_series, critical_radius
@@ -26,19 +24,21 @@ SQRT2 = math.sqrt(2.0)
 search_module = importlib.import_module("bohrlab.search")
 
 
-def materialized_radius(n, v):
-    pm = parameterize(n, v)
-    inst = materialize(n, pm.P, pm.M)
+def materialized_radius(x, M):
+    """Bisected radius of the instance (x x*, M / max(1, ||M||))."""
+    inst = materialize(len(x), np.outer(x, x.conj()), M / max(1.0, np.linalg.norm(M, 2)))
     return critical_radius(alpha_series(inst), float(np.trace(inst.S).real))
 
 
-def rank_one_vector():
-    """n = 3 encoding of x = (1, sqrt(2), 1) and M = shift."""
-    v = np.zeros(dimension(3))
-    v[0:6:2] = 1.0, SQRT2, 1.0
-    # strictly-upper entries (0,1), (0,2), (1,2) as (re, im) pairs
-    v[6], v[10] = 1.0, 1.0
-    return v
+def random_pairs(rng, k, n, scale=1.0):
+    """k complex vectors x and k strictly upper complex matrices M."""
+    x = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+    M = np.triu(rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n)), 1)
+    return x, scale * M
+
+
+def shift(n):
+    return np.eye(n, k=1, dtype=complex)
 
 
 def optimum(n):
@@ -46,9 +46,9 @@ def optimum(n):
 
 
 def serial_admm(n, seed, index, max_iters, simplex_tol):
-    """One restart as a plain loop on 2-d arrays, scored one flat vector
-    at a time: the reference that the lockstep search must match bit for
-    bit.
+    """One restart as a plain loop on 2-d arrays, each step scored as a
+    batch of one: the reference that the lockstep search must match bit
+    for bit.
 
     Returns (best value, iterations, evaluations, stop reason).
     """
@@ -60,7 +60,7 @@ def serial_admm(n, seed, index, max_iters, simplex_tol):
     best = math.inf
     for it in range(1, max_iters + 1):
         x = np.ascontiguousarray(np.linalg.eigh(M + M.conj().T)[1][:, -1])
-        best = min(best, objective(n, np.concatenate([x, M[up, down]]).view(np.float64)))
+        best = min(best, objective(x[None], M[None])[0])
         new = np.triu(Y - Lam + (x[:, None] @ x.conj()[None, :]) / n, 1)
         step = (new - M).ravel().view(np.float64)
         M = new
@@ -73,143 +73,93 @@ def serial_admm(n, seed, index, max_iters, simplex_tol):
     return best, max_iters, max_iters, "max_iters"
 
 
-class TestParameterize:
-    def test_dimension_formula(self):
-        assert dimension(2) == 6
-        assert dimension(3) == 12
-        assert dimension(8) == 72
-
-    def test_zero_vector(self):
-        pm = parameterize(3, np.zeros(12))
-        assert np.array_equal(pm.P, np.zeros((3, 3)))
-        assert np.array_equal(pm.M, np.zeros((3, 3)))
-
-    def test_unit_vector_gives_a_projection(self):
-        v = np.zeros(6)
-        v[2] = 1.0
-        v[4:] = 0.25, -0.5
-        pm = parameterize(2, v)
-        assert np.array_equal(pm.P, np.diag([0.0, 1.0]))
-        assert np.array_equal(pm.M, np.array([[0.0, 0.25 - 0.5j], [0.0, 0.0]]))
-
-    def test_rank_one_reconstruction(self):
-        pm = parameterize(3, rank_one_vector())
-        target = np.outer([1.0, SQRT2, 1.0], [1.0, SQRT2, 1.0])
-        assert np.max(np.abs(pm.P - target)) <= 1e-15
-        assert np.array_equal(pm.M, np.eye(3, k=1))
-
-    def test_complex_entries_land_in_place(self):
-        n = 4
-        rng = np.random.default_rng(18)
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        M = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1) / 10.0
-        v = np.concatenate([x, M[np.triu_indices(n, 1)]]).view(np.float64)
-        pm = parameterize(n, v)
-        assert np.array_equal(pm.P, np.outer(x, x.conj()))
-        assert np.array_equal(pm.M, M)
-
-    def test_odd_length_rejected(self):
-        with pytest.raises(BadLengthError):
-            parameterize(2, np.zeros(5))
-        with pytest.raises(BadLengthError):
-            parameterize(3, np.zeros((3, 5)))
-        with pytest.raises(BadLengthError):
-            parameterize(3, np.zeros(15))
-
-    def test_m_always_contracts(self):
-        rng = np.random.default_rng(19)
-        for _ in range(50):
-            n = int(rng.integers(2, 7))
-            pm = parameterize(n, 10.0 * rng.standard_normal(dimension(n)))
-            assert np.linalg.norm(pm.M, 2) <= 1.0 + 1e-12
-            assert np.array_equal(pm.M, np.triu(pm.M, 1))
-
-    def test_p_always_psd(self):
-        rng = np.random.default_rng(20)
-        for _ in range(50):
-            n = int(rng.integers(2, 7))
-            v = 5.0 * rng.standard_normal(dimension(n))
-            pm = parameterize(n, v)
-            eigs = np.linalg.eigvalsh(pm.P)
-            assert eigs[0] >= -1e-10 * max(1.0, abs(eigs[-1]))
-            assert np.all(np.abs(eigs[:-1]) <= 1e-12 * eigs[-1])
-            assert abs(np.trace(pm.P).real - v[: 2 * n] @ v[: 2 * n]) <= 1e-12 * eigs[-1]
-
-
 class TestObjective:
     def test_all_ones_gap_order_two(self):
-        assert abs(objective(2, [1.0, 0.0, 1.0, 0.0, 1.0, 0.0]) - 0.5) <= 1e-15
+        assert abs(objective([[1.0, 1.0]], [shift(2)])[0] - 0.5) <= 1e-15
 
     def test_rank_one_gap_order_three(self):
-        assert abs(objective(3, rank_one_vector()) - (SQRT2 - 1.0)) <= 1e-15
+        value = objective([[1.0, SQRT2, 1.0]], [shift(3)])
+        assert value.shape == (1,)
+        assert abs(value[0] - (SQRT2 - 1.0)) <= 1e-15
 
     def test_sine_vector_reaches_the_optimum(self):
         for n in (2, 4, 8, 16):
             x = np.sin(np.arange(1, n + 1) * math.pi / (n + 1))
-            v = np.zeros(dimension(n))
-            v[0 : 2 * n : 2] = x
-            # the superdiagonal entries (k, k+1) of the row-major strictly-upper order
-            first = np.cumsum([0] + [n - 1 - k for k in range(n - 2)])
-            v[2 * n + 2 * first] = 1.0
-            assert abs(objective(n, v) - optimum(n)) <= 1e-14
+            assert abs(objective([x], [shift(n)])[0] - optimum(n)) <= 1e-14
 
     def test_degenerate_pairing_returns_one(self):
-        v = np.zeros(6)
-        v[0] = 1.0
-        v[4] = 0.5
-        assert objective(2, v) == 1.0
-        assert objective(2, np.zeros(6)) == 1.0
-        assert np.array_equal(objective(2, np.array([v, np.zeros(6)])), [1.0, 1.0])
+        x = np.array([[1.0, 0.0]])
+        M = np.array([[[0.0, 0.5], [0.0, 0.0]]])
+        assert objective(x, M)[0] == 1.0
+        assert objective(np.zeros((1, 2)), M)[0] == 1.0
+        assert objective(x, np.zeros((1, 2, 2)))[0] == 1.0
+        pairs = np.array([x[0], np.zeros(2)]), np.array([M[0], M[0]])
+        assert np.array_equal(objective(*pairs), [1.0, 1.0])
 
     def test_length_check(self):
-        with pytest.raises(BadLengthError):
-            objective(2, np.zeros(7))
-        with pytest.raises(BadLengthError):
-            objective(2, np.zeros((3, 7)))
-        with pytest.raises(BadLengthError):
-            objective(2, np.zeros((2, 3, 6)))
+        # shapes that do not match one order n and one batch size k
+        for x_shape, m_shape in (
+            ((3,), (3, 3)),  # one pair without its batch axis
+            ((1, 3), (3, 3)),
+            ((2, 3), (2, 3, 4)),
+            ((2, 3), (2, 4, 4)),
+            ((2, 3), (3, 3, 3)),
+            ((2, 3), (2, 3, 3, 1)),
+            ((1, 2, 3), (1, 2, 3, 3)),
+        ):
+            with pytest.raises(BadLengthError):
+                objective(np.ones(x_shape), np.zeros(m_shape))
 
     def test_batch_matches_single_rows_bit_for_bit(self):
         rng = np.random.default_rng(25)
         for n in (2, 3, 5, 8, 13):
             for k in (1, 2, 7, 40):
-                rows = rng.standard_normal((k, dimension(n))) * rng.uniform(0.05, 3.0, (k, 1))
-                rows[0, 2 * n :] *= 0.1  # a row whose Frobenius norm skips the SVD
-                batch = objective(n, rows)
+                x, M = random_pairs(rng, k, n)
+                x *= rng.uniform(0.05, 3.0, (k, 1))
+                M *= rng.uniform(0.05, 3.0, (k, 1, 1))
+                M[0] *= 0.1 / np.linalg.norm(M[0])  # a Frobenius norm that skips the SVD
+                batch = objective(x, M)
                 assert batch.shape == (k,)
-                singles = np.array([objective(n, row) for row in rows])
+                singles = np.array([objective(x[i : i + 1], M[i : i + 1])[0] for i in range(k)])
                 assert np.array_equal(batch, singles)
                 perm = rng.permutation(k)
-                assert np.array_equal(objective(n, rows[perm]), batch[perm])
+                assert np.array_equal(objective(x[perm], M[perm]), batch[perm])
+
+    def test_strided_views_give_the_same_values(self):
+        rng = np.random.default_rng(26)
+        x, M = random_pairs(rng, 6, 5)
+        wide_x, wide_M = np.zeros((6, 10), complex), np.zeros((6, 5, 10), complex)
+        wide_x[:, ::2], wide_M[:, :, ::2] = x, M
+        assert np.array_equal(objective(wide_x[:, ::2], wide_M[:, :, ::2]), objective(x, M))
+        assert np.array_equal(objective(x[::-1], M[::-1]), objective(x, M)[::-1])
 
     def test_agrees_with_materialized_bisection(self):
         rng = np.random.default_rng(21)
         for _ in range(200):
             n = int(rng.integers(2, 6))
-            v = rng.standard_normal(dimension(n)) * rng.uniform(0.3, 3.0)
-            fast = objective(n, v)
+            x, M = random_pairs(rng, 1, n, rng.uniform(0.3, 3.0))
+            fast = objective(x, M)[0]
             if fast == 1.0:
                 continue
-            assert abs(fast - materialized_radius(n, v)) <= 1e-8
+            assert abs(fast - materialized_radius(x[0], M[0])) <= 1e-8
 
     def test_invariant_under_factor_scaling(self):
         # x is the factor of the gap P = x x*: its scale and phase drop out
         rng = np.random.default_rng(22)
         for _ in range(50):
             n = int(rng.integers(2, 6))
-            v = rng.standard_normal(dimension(n))
-            w = v.copy()
-            w[: 2 * n] *= 7.5
-            assert abs(objective(n, v) - objective(n, w)) <= 1e-10
-            w[: 2 * n] = (v[: 2 * n].view(complex) * np.exp(1j * rng.uniform(0, 6.3))).view(float)
-            assert abs(objective(n, v) - objective(n, w)) <= 1e-10
+            x, M = random_pairs(rng, 1, n)
+            value = objective(x, M)[0]
+            assert abs(objective(7.5 * x, M)[0] - value) <= 1e-10
+            assert abs(objective(x * np.exp(1j * rng.uniform(0, 6.3)), M)[0] - value) <= 1e-10
 
     def test_per_evaluation_floors(self):
         rng = np.random.default_rng(23)
         for n, floor in ((2, 0.5), (3, SQRT2 - 1.0), (8, optimum(8))):
-            for _ in range(400):
-                v = rng.standard_normal(dimension(n)) * rng.uniform(0.1, 5.0)
-                assert objective(n, v) >= floor - 1e-9
+            x, M = random_pairs(rng, 400, n)
+            x *= rng.uniform(0.1, 5.0, (400, 1))
+            M *= rng.uniform(0.1, 5.0, (400, 1, 1))
+            assert np.all(objective(x, M) >= floor - 1e-9)
 
 
 class TestMaterialize:
@@ -336,11 +286,20 @@ class TestSearch:
     def test_chunking_does_not_change_the_result(self, monkeypatch):
         cfg = SearchConfig(n=3, restarts=5, max_iters=400, seed=17)
         whole = search(cfg)
-        state = 3 * 16 * 3 * 3  # M, Y and Lambda of one order-3 restart
-        # chunks of one restart, then chunks of two
-        for state_bytes in (1, 2 * state):
+        state = 4 * 16 * 3 * 3  # M, Y, Lambda and the best M of one order-3 restart
+        run_restart, sizes = search_module._run_restart, []
+
+        def counted(cfg, indices, eval_hook):
+            sizes.append(len(indices))
+            return run_restart(cfg, indices, eval_hook)
+
+        monkeypatch.setattr(search_module, "_run_restart", counted)
+        # chunks of one restart, then chunks of two (a byte short of three)
+        for state_bytes, chunks in ((1, [1] * 5), (3 * state - 1, [2, 2, 1])):
+            sizes.clear()
             monkeypatch.setattr(search_module, "_STATE_BYTES", state_bytes)
             chunked = search(cfg)
+            assert sizes == chunks
             assert chunked.per_restart == whole.per_restart
             assert np.array_equal(chunked.instance.A, whole.instance.A)
 
@@ -362,6 +321,31 @@ class TestSearch:
         assert est.gap == est.r_star - optimum(n)
         inst_r = critical_radius(alpha_series(est.instance), float(np.trace(est.instance.S).real))
         assert abs(inst_r - est.r_star) <= 1e-8
+
+    @pytest.mark.parametrize("n, seed", [(2, 0), (3, 1), (4, 2), (5, 3), (6, 4)])
+    def test_instance_m_always_contracts(self, n, seed):
+        # the winner's M is rescaled by max(1, ||M||) before it is materialized
+        est = search(SearchConfig(n=n, restarts=2, max_iters=60, seed=seed))
+        M = est.instance.seq.matrices[0]
+        assert np.array_equal(M, np.triu(M, 1))
+        assert np.linalg.norm(M, 2) <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("n, seed", [(2, 0), (3, 1), (4, 2), (5, 3), (6, 4)])
+    def test_instance_gap_always_rank_one_psd(self, n, seed):
+        inst = search(SearchConfig(n=n, restarts=2, max_iters=60, seed=seed)).instance
+        gap = inst.S - 0.5 * (inst.A + inst.A.conj().T)
+        eigs = np.linalg.eigvalsh(gap)
+        assert eigs[-1] > 0.0
+        assert eigs[0] >= -1e-12 * eigs[-1]
+        assert np.all(np.abs(eigs[:-1]) <= 1e-12 * eigs[-1])
+        assert abs(np.trace(gap).real - eigs[-1]) <= 1e-12 * eigs[-1]
+
+    @pytest.mark.parametrize("n, seed, max_iters", [(3, 1, 20), (4, 3, 5), (5, 3, 20), (6, 7, 40)])
+    def test_instance_is_the_best_step(self, n, seed, max_iters):
+        # the winner's last step is 2e-3 to 1e-4 worse than its best one here
+        est = search(SearchConfig(n=n, restarts=2, max_iters=max_iters, seed=seed))
+        inst_r = critical_radius(alpha_series(est.instance), float(np.trace(est.instance.S).real))
+        assert abs(inst_r - est.r_star) <= 1e-9
 
     def test_never_beats_the_sine_family(self):
         # the sine witness radius 1/(1 + 2 cos(pi/(n+1))) is the order-n minimum

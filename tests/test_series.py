@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from bohrlab.linalg import NonFiniteError
 from bohrlab.series import (
     AlphaSeries,
+    InequalityCheck,
     BohrInstance,
     BudgetBelowAlpha0Error,
     NegativeTraceError,
@@ -260,3 +262,31 @@ class TestInstanceChecks:
         assert report.holds
         assert report.lhs == 0.0
         assert report.rhs == 2.0
+
+    def test_check_inequality_rejects_an_overflowing_budget(self):
+        # every entry finite, Tr(S) = 2.4e308 is not
+        inst = BohrInstance(
+            np.zeros((3, 3)), np.diag([8e307] * 3), SequenceSpec.constant(np.eye(3, k=1))
+        )
+        with pytest.raises(NonFiniteError, match=r"Tr\(S\) - Bohr sum = inf - 0.0 "):
+            check_inequality(inst, 0.5)
+
+    def test_check_inequality_rejects_an_overflowing_bohr_sum(self):
+        # three pairings of 1e308: the sum overflows at r = 0.9
+        a = np.array([[0.0, 1e308], [0.0, 0.0]])
+        seq = SequenceSpec.finite([np.eye(2, k=1)] * 3)
+        inst = BohrInstance(a, np.diag([1e307, 1e307]), seq)
+        with pytest.raises(NonFiniteError, match=r"Tr\(S\) - Bohr sum = 2e\+307 - inf "):
+            check_inequality(inst, 0.9)
+        assert check_inequality(inst, 0.1).holds  # 1.11e307 against 2e307
+
+    def test_inequality_check_values_must_be_finite(self):
+        for lhs, rhs in ((math.inf, 1.0), (1.0, math.nan), (1e308, -1e308)):
+            with pytest.raises(NonFiniteError, match="Bohr sum"):
+                InequalityCheck(False, lhs, rhs)
+
+    def test_alpha_series_rejects_an_overflowing_trace(self):
+        a = np.diag([1e308, 1e308])
+        inst = BohrInstance(a, a, SequenceSpec.constant(np.eye(2, k=1)))
+        with pytest.raises(ValueError, match="alpha0 must be finite"):
+            alpha_series(inst)
