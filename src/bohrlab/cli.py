@@ -4,6 +4,13 @@ tabulate the n/(3n-2) law, and check scalar series.
 Exit codes are part of the interface: 0 success, 1 input error, 2
 inequality violated, 3 hypotheses fail.  Instance files are JSON with
 every complex entry spelled as an [re, im] pair.
+
+The fixed cost of a call is paid once per process: ``main`` builds the
+argparse tree on its first call and reuses it, and looks up the
+``cmd_*`` handler by name at each call.  Documents are converted in
+bulk: each matrix is one exact type scan per nesting level and one
+``np.array`` call, and the entry-by-entry walk runs only to name the
+field of a node that the scan refuses.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -45,13 +53,43 @@ class DocumentError(ValueError):
 
 
 def _matrix_to_literal(a: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in a]
+    n = len(a)
+    return np.ascontiguousarray(a).view(np.float64).reshape(n, n, 2).tolist()
 
 
-def _matrix_from_literal(node, n: int, path: str) -> np.ndarray:
+# exact types: numpy alone would read True as 1.0 and "1" as 1.0
+_NUMBERS = frozenset({int, float})
+
+
+def _bulk_values(node, n: int) -> np.ndarray | None:
+    """The 2 n^2 floats, row by row and re before im, of a node of n
+    lists of n [re, im] lists of ints and floats in float range, or None
+    for any other node.
+
+    Every test is a C-speed pass over one level of the node; the leaves
+    go to numpy as one flat list, which converts them faster than the
+    nested node would.
+    """
+    if type(node) is not list or len(node) != n:
+        return None
+    if {*map(type, node)} != {list} or {*map(len, node)} != {n}:
+        return None
+    entries = list(chain.from_iterable(node))
+    if {*map(type, entries)} != {list} or {*map(len, entries)} != {2}:
+        return None
+    leaves = list(chain.from_iterable(entries))
+    if not _NUMBERS.issuperset(map(type, leaves)):
+        return None
+    try:
+        return np.array(leaves, dtype=np.float64)
+    except OverflowError:  # an int beyond the float range
+        return None
+
+
+def _check_literal(node, n: int, path: str) -> None:
+    """Raise the DocumentError naming the first malformed field of node."""
     if not isinstance(node, list) or len(node) != n:
         raise DocumentError(path, f"expected an array of {n} rows")
-    out = np.zeros((n, n), dtype=np.complex128)
     for i, row in enumerate(node):
         if not isinstance(row, list) or len(row) != n:
             raise DocumentError(f"{path}[{i}]", f"expected an array of {n} entries")
@@ -64,12 +102,19 @@ def _matrix_from_literal(node, n: int, path: str) -> np.ndarray:
             if not ok:
                 raise DocumentError(f"{path}[{i}][{j}]", "expected a two-number array [re, im]")
             try:
-                out[i, j] = complex(entry[0], entry[1])
+                complex(entry[0], entry[1])
             except OverflowError:
                 raise DocumentError(f"{path}[{i}][{j}]", "number too large for a float") from None
-    # frozen, so the instance adopts it without another copy
-    out.setflags(write=False)
-    return out
+
+
+def _matrix_from_literal(node, n: int, path: str) -> np.ndarray:
+    values = _bulk_values(node, n)
+    if values is None:
+        _check_literal(node, n, path)
+        # well formed after all: subclasses of list, int or float, which
+        # the exact scan refuses and numpy converts like the classes
+        values = np.array(node, dtype=np.float64)
+    return values.view(np.complex128).reshape(n, n)
 
 
 def instance_to_document(inst: BohrInstance) -> dict:
@@ -135,12 +180,11 @@ def save_instance(inst: BohrInstance, path: str) -> None:
         fh.write("\n")
 
 
-def _write_output(args, text: str) -> None:
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+def _write_output(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+        if not text.endswith("\n"):
+            fh.write("\n")
 
 
 def _fmt(x: float) -> str:
@@ -221,7 +265,8 @@ def cmd_verify(args) -> int:
             lines.append(f"critical radius: {_fmt(radius)}")
         text = "\n".join(lines)
     print(text)
-    _write_output(args, json.dumps(payload, indent=2) if args.format != "json" else text)
+    if args.output:
+        _write_output(args.output, text if args.format == "json" else json.dumps(payload, indent=2))
 
     if not report.overall:
         return EXIT_HYPOTHESES
@@ -364,7 +409,8 @@ def cmd_table(args) -> int:
         lines += [f"{n:>5}  {_fmt(f):<22} {_fmt(b):<22} {_fmt(d)}" for n, f, b, d in rows]
         text = "\n".join(lines)
     print(text)
-    _write_output(args, text)
+    if args.output:
+        _write_output(args.output, text)
     return EXIT_OK
 
 
@@ -419,7 +465,8 @@ def cmd_scalar(args) -> int:
                 ]
             )
         )
-    _write_output(args, json.dumps(payload, indent=2))
+    if args.output:
+        _write_output(args.output, json.dumps(payload, indent=2))
     return EXIT_OK if result.holds else EXIT_VIOLATED
 
 
@@ -457,19 +504,18 @@ def build_parser() -> argparse.ArgumentParser:
         " (kept so old command lines work)",
     )
 
-    parser = _Parser(prog="bohrlab", description=__doc__)
+    # the docstring's last paragraph is about the code, not for --help
+    parser = _Parser(prog="bohrlab", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", parents=[common], help="check an instance file at a radius")
     p.add_argument("input", help="instance document (JSON)")
     p.add_argument("--r", type=float, required=True, help="evaluation radius in [0, 1)")
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("witness", parents=[common], help="build a canonical extremal instance")
     p.add_argument("--family", choices=("general-n", "sine", "n3", "remark-n2"), required=True)
     p.add_argument("--n", type=int, default=None, help="order for general-n and sine (n3 is sine at n=3)")
     p.add_argument("--r-target", type=float, default=None, help="violation radius for remark-n2")
-    p.set_defaults(fn=cmd_witness)
 
     p = sub.add_parser("radius-search", parents=[common], help="search for the extremal radius")
     p.add_argument("--n", type=int, required=True)
@@ -481,11 +527,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=1e-9,
         help="stop a restart when a step moves M by less than this (Frobenius norm)",
     )
-    p.set_defaults(fn=cmd_radius_search)
 
     p = sub.add_parser("table", parents=[common], help="tabulate n/(3n-2) against bisection")
     p.add_argument("--max-n", type=int, required=True)
-    p.set_defaults(fn=cmd_table)
 
     p = sub.add_parser("scalar", parents=[common], help="classical power-series check")
     p.add_argument("--moebius", type=float, default=None, help="parameter a of (a-z)/(1-az)")
@@ -493,17 +537,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tail", nargs=2, type=float, default=None, metavar=("C", "RHO"))
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--gridpoints", type=int, default=4096)
-    p.set_defaults(fn=cmd_scalar)
     return parser
 
 
+# built on the first call of main: parse_args keeps no state between
+# calls (no option appends to a shared default), so one tree serves all
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    # looked up at each call, so a handler replaced after the parser was
+    # built (a tracer's wrapper, say) is the one that runs
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args)
-    # a DocumentError is a ValueError; an OverflowError is abs() of a
-    # complex entry or coefficient beyond the float range
+        return handler(args)
+    # a DocumentError or NonFiniteError is a ValueError; OverflowError
+    # stays a backstop for a float conversion that no check names
     except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

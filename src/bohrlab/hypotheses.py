@@ -29,6 +29,7 @@ from .linalg import (
     is_strictly_upper,
     is_upper,
     max_abs,
+    modulus,
     operator_norm,
     re_part,
     require_finite,
@@ -100,7 +101,7 @@ def _trace_condition(a: np.ndarray, tol: float) -> ConditionReport:
     """
     tr = complex(np.trace(a))
     im_dev = abs(tr.imag)
-    if im_dev > tol * max(1.0, abs(tr)):
+    if im_dev > tol * max(1.0, modulus(tr, "|Tr(A)|")):
         return ConditionReport("nonnegative_trace_a", False, -im_dev)
     return ConditionReport("nonnegative_trace_a", bool(tr.real >= -tol), tr.real)
 
@@ -153,8 +154,9 @@ def check_theorem_hypotheses(inst: BohrInstance, tol: float = DEFAULT_TOL) -> Hy
     )
     conds.append(_gap_psd_condition(a, s, tol))
 
-    up_dev = max((max_abs(np.tril(m)) for m in mats), default=0.0)
-    up_ok = all(max_abs(np.tril(m)) <= tol * max(1.0, max_abs(m)) for m in mats)
+    low = [max_abs(np.tril(m)) for m in mats]
+    up_dev = max(low, default=0.0)
+    up_ok = all(dev <= tol * max(1.0, max_abs(m)) for dev, m in zip(low, mats))
     conds.append(ConditionReport("strictly_upper_sequence", bool(up_ok), -up_dev))
     conds.append(_sequence_norm_condition(mats, tol))
     return HypothesisReport("theorem", tuple(conds))
@@ -173,11 +175,11 @@ def check_relaxed_hypotheses(inst: BohrInstance, tol: float = DEFAULT_TOL) -> Hy
     )
     conds.append(_gap_psd_condition(a, s, tol))
 
-    for name, left in (("orthogonal_to_s", s), ("orthogonal_to_a", a)):
+    for name, left, what in (("orthogonal_to_s", s, "S"), ("orthogonal_to_a", a, "A")):
         dev = 0.0
         ok = True
-        for m in mats:
-            t = abs(_product_trace(left, m))
+        for i, m in enumerate(mats, 1):
+            t = modulus(_product_trace(left, m), f"|Tr({what} A_{i})|")
             dev = max(dev, t)
             ok = ok and t <= tol * max(1.0, frobenius_norm(left) * frobenius_norm(m))
         conds.append(ConditionReport(name, bool(ok), -dev))
@@ -208,6 +210,5 @@ def orthogonality_check(x, a, tol: float = DEFAULT_TOL) -> bool:
         raise PreconditionViolatedError("x must be upper triangular")
     if not is_strictly_upper(a, tol=tol):
         raise PreconditionViolatedError("a must be strictly upper triangular")
-    return bool(
-        abs(_product_trace(x, a)) <= tol * max(1.0, frobenius_norm(x) * frobenius_norm(a))
-    )
+    t = modulus(_product_trace(x, a), "|Tr(x a)|")
+    return bool(t <= tol * max(1.0, frobenius_norm(x) * frobenius_norm(a)))

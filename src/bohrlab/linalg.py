@@ -23,6 +23,10 @@ class NonFiniteError(ValueError):
     """A quantity computed from finite entries overflowed float arithmetic."""
 
 
+def _overflow(what: str) -> NonFiniteError:
+    return NonFiniteError(f"{what} is not finite: the input overflows float arithmetic")
+
+
 def require_finite(value, what: str):
     """Return value, or raise NonFiniteError when any part of it is inf
     or nan.  Validated entries are finite, so such a value comes from an
@@ -30,8 +34,17 @@ def require_finite(value, what: str):
     # math.isfinite first: np.isfinite costs microseconds on a lone float
     finite = math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()
     if not finite:
-        raise NonFiniteError(f"{what} is not finite: the input overflows float arithmetic")
+        raise _overflow(what)
     return value
+
+
+def modulus(z: complex, what: str) -> float:
+    """abs(z), or NonFiniteError naming `what` where Python's abs raises
+    OverflowError: a finite z whose modulus is beyond the float range."""
+    try:
+        return abs(z)
+    except OverflowError:
+        raise _overflow(what) from None
 
 
 def as_complex_matrix(value, name: str = "matrix") -> np.ndarray:
@@ -90,7 +103,10 @@ def frobenius_norm(a: np.ndarray) -> float:
 
 
 def _hermitian_deviation(a: np.ndarray) -> float:
-    return max_abs(a - a.conj().T)
+    # an inf entry gives inf - inf = nan, and a huge one may overflow:
+    # either deviation fails the check, so numpy need not warn about it
+    with np.errstate(invalid="ignore", over="ignore"):
+        return max_abs(a - a.conj().T)
 
 
 def _require_hermitian(a: np.ndarray, tol: float, name: str) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import require_finite
+from .linalg import modulus, require_finite
 from .series import AlphaSeries, bohr_sum, critical_radius
 
 
@@ -36,7 +36,7 @@ class CoeffSeries:
             c, rho = complex(self.tail[0]), complex(self.tail[1])
             if not (np.isfinite(c) and np.isfinite(rho)):
                 raise ValueError("tail parameters must be finite")
-            if abs(rho) >= 1.0:
+            if modulus(rho, "the tail ratio |rho|") >= 1.0:
                 raise ValueError(f"tail ratio must satisfy |rho| < 1, got {rho}")
             object.__setattr__(self, "tail", (c, rho))
 
@@ -57,12 +57,13 @@ def _majorant(s: CoeffSeries) -> AlphaSeries:
 
     Without listed coefficients the tail itself starts at index 0, so
     its first term becomes alpha_0 and the rest a tail from index 1.
+    A modulus beyond the float range raises NonFiniteError.
     """
-    mags = [abs(c) for c in s.coeffs]
+    mags = [modulus(c, f"the modulus |a_{k}| of coefficient {k}") for k, c in enumerate(s.coeffs)]
     tail, ratio = 0.0, 1.0
     if s.tail is not None:
         c, rho = s.tail
-        tail, ratio = abs(c), abs(rho)
+        tail, ratio = modulus(c, "the tail coefficient |c|"), abs(rho)
         if not mags:
             mags, tail = [tail], tail * ratio
     return AlphaSeries(mags[0] if mags else 0.0, tuple(mags[1:]), tail, ratio)

@@ -15,7 +15,7 @@ from typing import Literal
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, as_complex_matrix, require_finite, trace_pairing
+from .linalg import DEFAULT_TOL, as_complex_matrix, modulus, require_finite, trace_pairing
 
 Mode = Literal["theorem", "relaxed"]
 
@@ -164,18 +164,22 @@ def alpha_series(inst: BohrInstance, tol: float = DEFAULT_TOL) -> AlphaSeries:
 
     alpha_0 is Re Tr(A); term m is |Tr(A adjoint(A_m))|.  A constant
     sequence produces a constant tail starting at m = 1; a finite list
-    produces explicit magnitudes and a zero tail.
+    produces explicit magnitudes and a zero tail.  A modulus beyond the
+    float range raises NonFiniteError.
     """
     tr = complex(np.trace(inst.A))
-    if abs(tr.imag) > tol * max(1.0, abs(tr)):
+    if abs(tr.imag) > tol * max(1.0, modulus(tr, "|Tr(A)|")):
         raise NonrealTraceError(f"Tr(A) = {tr} has a nonreal part beyond tolerance")
     if tr.real < -tol:
         raise NegativeTraceError(f"Re Tr(A) = {tr.real} is negative")
     alpha0 = max(tr.real, 0.0)
-    pair = lambda m: abs(trace_pairing(inst.A, m))
+    mags = tuple(
+        modulus(trace_pairing(inst.A, a_m), f"|alpha_{m}| = |Tr(A A_{m}*)|")
+        for m, a_m in enumerate(inst.seq.matrices, 1)
+    )
     if inst.seq.kind == "constant":
-        return AlphaSeries(alpha0, (), pair(inst.seq.matrices[0]))
-    return AlphaSeries(alpha0, tuple(pair(m) for m in inst.seq.matrices), 0.0)
+        return AlphaSeries(alpha0, (), mags[0])
+    return AlphaSeries(alpha0, mags, 0.0)
 
 
 def bohr_sum(series: AlphaSeries, r: float) -> float:

@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from bohrlab import cli
 from bohrlab.cli import (
     EXIT_HYPOTHESES,
     EXIT_INPUT,
@@ -37,6 +41,12 @@ def overflow_instance(scale, mode="theorem"):
     finite, but at s = 1e308 Tr(S) and the gap overflow."""
     a = np.array([[0.0, scale], [0.0, 0.0]])
     return BohrInstance(a, np.diag([scale, scale]), SequenceSpec.constant(np.eye(2, k=1)), mode)
+
+
+# finite, with a modulus beyond the float range
+HUGE = 1.5e308 + 1.5e308j
+OVERFLOW_TAIL = "is not finite: the input overflows float arithmetic"
+SHIFT = np.eye(2, k=1)
 
 
 def run_strict(argv, capsys):
@@ -106,6 +116,214 @@ class TestDocuments:
         with pytest.raises(DocumentError) as err:
             load_instance(str(path))
         assert "line 1" in str(err.value)
+
+
+def reference_matrix_from_literal(node, n, path):
+    """The entry-by-entry conversion that the bulk loader replaced: the
+    oracle for its values and for its error paths and messages."""
+    if not isinstance(node, list) or len(node) != n:
+        raise DocumentError(path, f"expected an array of {n} rows")
+    out = np.zeros((n, n), dtype=np.complex128)
+    for i, row in enumerate(node):
+        if not isinstance(row, list) or len(row) != n:
+            raise DocumentError(f"{path}[{i}]", f"expected an array of {n} entries")
+        for j, entry in enumerate(row):
+            ok = (
+                isinstance(entry, list)
+                and len(entry) == 2
+                and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
+            )
+            if not ok:
+                raise DocumentError(f"{path}[{i}][{j}]", "expected a two-number array [re, im]")
+            try:
+                out[i, j] = complex(entry[0], entry[1])
+            except OverflowError:
+                raise DocumentError(f"{path}[{i}][{j}]", "number too large for a float") from None
+    return out
+
+
+def reference_matrix_to_literal(a):
+    return [[[float(z.real), float(z.imag)] for z in row] for row in a]
+
+
+def reference_document(inst):
+    seq = inst.seq
+    if seq.kind == "constant":
+        node = {"type": "constant", "matrix": reference_matrix_to_literal(seq.matrices[0])}
+    else:
+        node = {"type": "list", "matrices": [reference_matrix_to_literal(m) for m in seq.matrices]}
+    return {
+        "n": inst.order,
+        "mode": inst.mode,
+        "A": reference_matrix_to_literal(inst.A),
+        "S": reference_matrix_to_literal(inst.S),
+        "sequence": node,
+    }
+
+
+# floats at the ends of the range and ints that are not exact floats
+EDGE_VALUES = [
+    0, 0.0, -0.0, 1, -1, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308,
+    1.7976931348623157e308, -1.7976931348623157e308, 2**53 + 1, 2**63 - 1, 2**63, 2**63 + 1,
+    -(2**63) - 1, 10**20, -(10**20), 0.1, 1 / 3,
+]
+
+
+def random_literal(rng, n):
+    """An order-n matrix literal of floats spread over the exponent range,
+    with some ints, as json.load would return it."""
+    node = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            entry = []
+            for _ in range(2):
+                kind = rng.integers(4)
+                if kind == 0:
+                    entry.append(int(rng.integers(-(2**62), 2**62)) * int(rng.integers(1, 8)))
+                elif kind == 1:
+                    entry.append(EDGE_VALUES[rng.integers(len(EDGE_VALUES))])
+                else:
+                    entry.append(float(rng.standard_normal() * 10.0 ** rng.integers(-300, 300)))
+            row.append(entry)
+        node.append(row)
+    return json.loads(json.dumps(node))
+
+
+def matrix_bits(a):
+    return np.ascontiguousarray(a, dtype=np.complex128).tobytes()
+
+
+def assert_same_conversion(node, n, path="A"):
+    """The bulk loader gives the reference's bits, or its DocumentError."""
+    try:
+        want = reference_matrix_from_literal(node, n, path)
+    except DocumentError as ref:
+        with pytest.raises(DocumentError) as got:
+            cli._matrix_from_literal(node, n, path)
+        assert (got.value.path, str(got.value)) == (ref.path, str(ref))
+        return
+    assert matrix_bits(cli._matrix_from_literal(node, n, path)) == matrix_bits(want)
+
+
+GOOD = [[[1.0, 0.0], [2.0, -1.0]], [[0.0, 0.5], [3, 4]]]
+
+
+def malformed(edit):
+    node = json.loads(json.dumps(GOOD))
+    edit(node)
+    return node
+
+
+MALFORMED = {
+    "bool re": malformed(lambda m: m[0].__setitem__(1, [True, 0.0])),
+    "bool im": malformed(lambda m: m[1].__setitem__(0, [0.0, False])),
+    "numeric string": malformed(lambda m: m[1].__setitem__(1, ["1", 0.0])),
+    "None leaf": malformed(lambda m: m[0].__setitem__(0, [None, 0.0])),
+    "None entry": malformed(lambda m: m[0].__setitem__(0, None)),
+    "None row": malformed(lambda m: m.__setitem__(1, None)),
+    "dict row": malformed(lambda m: m.__setitem__(0, {"0": [1.0, 0.0], "1": [2.0, 0.0]})),
+    "dict entry": malformed(lambda m: m[0].__setitem__(1, {"re": 1.0, "im": 0.0})),
+    "number row": malformed(lambda m: m.__setitem__(1, 7.0)),
+    "number entry": malformed(lambda m: m[1].__setitem__(1, 7.0)),
+    "string row": malformed(lambda m: m.__setitem__(0, "ab")),
+    "short row": malformed(lambda m: m[1].pop()),
+    "long row": malformed(lambda m: m[0].append([0.0, 0.0])),
+    "short entry": malformed(lambda m: m[0].__setitem__(1, [1.0])),
+    "long entry": malformed(lambda m: m[1].__setitem__(0, [1.0, 2.0, 3.0])),
+    "empty entry": malformed(lambda m: m[0].__setitem__(0, [])),
+    "nested entry": malformed(lambda m: m[0].__setitem__(0, [[1.0], [2.0]])),
+    "missing row": malformed(lambda m: m.pop()),
+    "extra row": malformed(lambda m: m.append([[0.0, 0.0], [0.0, 0.0]])),
+    "int beyond float range": malformed(lambda m: m[1].__setitem__(1, [0.0, 10**400])),
+    "negative int beyond float range": malformed(lambda m: m[0].__setitem__(0, [-(10**309), 0])),
+    "int rounding up to 2**1024": malformed(lambda m: m[0].__setitem__(1, [2**1024 - 2**970, 0])),
+    "tuple entry": malformed(lambda m: m[0].__setitem__(0, (1.0, 0.0))),
+    "tuple row": malformed(lambda m: m.__setitem__(1, tuple(m[1]))),
+    "second fault named first": malformed(
+        lambda m: (m[0].__setitem__(1, ["x", 0.0]), m[1].__setitem__(0, [True, 0.0]))
+    ),
+}
+
+
+class TestBulkConversion:
+    """The bulk document loader and writer against the per-entry reference."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 32])
+    def test_random_documents_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            assert_same_conversion(random_literal(rng, n), n)
+
+    def test_edge_values_bit_for_bit(self):
+        values = EDGE_VALUES
+        node = [[[values[i], values[-1 - i]] for i in range(len(values))] for _ in values]
+        assert_same_conversion(node, len(values))
+        got = cli._matrix_from_literal(node, len(values), "A")
+        assert math.copysign(1.0, got[0, 2].real) == -1.0  # -0.0 kept
+        assert got[0, 5].real == 5e-324
+        assert got[0, 15].real == float(2**63 + 1)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_matrix_same_error(self, case):
+        assert_same_conversion(MALFORMED[case], 2)
+
+    @pytest.mark.parametrize("node", [None, 3.0, "ab", {"0": []}, [], (GOOD[0], GOOD[1])])
+    def test_malformed_node_same_error(self, node):
+        assert_same_conversion(node, 2, "sequence.matrices[1]")
+
+    def test_subclasses_convert_like_their_classes(self):
+        # json.load never makes them, a caller of document_to_instance may
+        class Row(list):
+            pass
+
+        row = Row([[np.float64(1.5), 2], Row([np.float64(-0.0), 3])])
+        assert_same_conversion(Row([row, Row(row)]), 2)
+
+    def test_document_errors_name_the_field(self):
+        for key, where in (("A", "A"), ("S", "S")):
+            for case in ("bool re", "int beyond float range", "short row"):
+                doc = instance_to_document(general_witness(2))
+                doc[key] = MALFORMED[case]
+                with pytest.raises(DocumentError) as got:
+                    document_to_instance(doc)
+                with pytest.raises(DocumentError) as ref:
+                    reference_matrix_from_literal(MALFORMED[case], 2, where)
+                assert str(got.value) == str(ref.value)
+        inst = BohrInstance(np.eye(2), 2.0 * np.eye(2), SequenceSpec.finite([np.eye(2, k=1)] * 3))
+        doc = instance_to_document(inst)
+        doc["sequence"]["matrices"][2][1][0] = ["1", 0]
+        field = r"^sequence\.matrices\[2\]\[1\]\[0\]: expected a two-number array"
+        with pytest.raises(DocumentError, match=field):
+            document_to_instance(doc)
+
+    def test_loaded_matrices_are_frozen_and_owned(self, tmp_path):
+        inst = load_instance(write_instance(tmp_path, sine_witness(4)))
+        for m in (inst.A, inst.S, *inst.seq.matrices):
+            assert m.base is None
+            assert not m.flags.writeable
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            general_witness(5),
+            sine_witness(4),
+            remark_two_witness(0.4),
+            BohrInstance(
+                # -0.0, subnormal and huge parts; a transposed (Fortran-order) A
+                (np.array([[-0.0, 5e-324], [1e308, -1e-308j]]) + 0.25j).T,
+                np.diag([2.0, -0.0]),
+                SequenceSpec.finite([np.eye(2, k=1), np.zeros((2, 2)), np.full((2, 2), 1 / 3)]),
+            ),
+        ],
+        ids=["general", "sine", "remark", "edge"],
+    )
+    def test_documents_are_byte_identical(self, inst, tmp_path):
+        want = json.dumps(reference_document(inst), indent=2)
+        assert json.dumps(instance_to_document(inst), indent=2) == want
+        path = write_instance(tmp_path, inst)
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == want + "\n"
 
 
 class TestVerifyCommand:
@@ -216,6 +434,45 @@ class TestVerifyCommand:
         for fmt in ("text", "json"):
             code, out, err = run_strict(["verify", path, "--r", "0.9", "--format", fmt], capsys)
             assert_one_error_line(code, out, err)
+
+    @pytest.mark.parametrize(
+        "inst, quantity",
+        [
+            (
+                BohrInstance(np.eye(2, k=1) * HUGE, np.eye(2), SequenceSpec.constant(SHIFT)),
+                "|alpha_1| = |Tr(A A_1*)|",
+            ),
+            (
+                BohrInstance(
+                    np.eye(2, k=1) * HUGE,
+                    np.eye(2),
+                    SequenceSpec.finite([np.zeros((2, 2)), np.eye(2, k=1)]),
+                ),
+                "|alpha_2| = |Tr(A A_2*)|",
+            ),
+            (
+                BohrInstance(np.diag([HUGE, 0.0]), np.eye(2), SequenceSpec.constant(SHIFT)),
+                "|Tr(A)|",
+            ),
+            (
+                # |S_01| = 1.1e308 keeps the gap finite, Tr(S A_1) = 2 S_01 does not
+                BohrInstance(
+                    np.zeros((2, 2)),
+                    np.array([[0.0, 0.8e308 * (1 + 1j)], [0.8e308 * (1 - 1j), 0.0]]),
+                    SequenceSpec.constant(2.0 * np.eye(2, k=-1)),
+                    "relaxed",
+                ),
+                "|Tr(S A_1)|",
+            ),
+        ],
+        ids=["pairing", "second-pairing", "trace-a", "relaxed-trace-s"],
+    )
+    def test_overflowing_modulus_is_named(self, tmp_path, capsys, inst, quantity):
+        path = write_instance(tmp_path, inst)
+        for fmt in ("text", "json"):
+            code, out, err = run_strict(["verify", path, "--r", "0.5", "--format", fmt], capsys)
+            assert_one_error_line(code, out, err)
+            assert err == f"error: {quantity} {OVERFLOW_TAIL}\n"
 
     def test_scaled_overflow_document_is_decided(self, tmp_path, capsys):
         # the same shape at 1e8 is violated at 0.9, with radius 2/3
@@ -480,6 +737,20 @@ class TestScalarCommand:
             code, out, err = run_strict(["scalar", *extra, "--format", fmt], capsys)
             assert_one_error_line(code, out, err)
 
+    @pytest.mark.parametrize(
+        "coeffs, quantity",
+        [
+            ("1.5e308+1.5e308j", "the modulus |a_0| of coefficient 0"),
+            ("1,0.5,1.5e308-1.5e308j", "the modulus |a_2| of coefficient 2"),
+        ],
+    )
+    def test_overflowing_modulus_is_named(self, capsys, coeffs, quantity):
+        for fmt in ("text", "json"):
+            argv = ["scalar", "--coeffs", coeffs, "--r", "0.5", "--format", fmt]
+            code, out, err = run_strict(argv, capsys)
+            assert_one_error_line(code, out, err)
+            assert err == f"error: {quantity} {OVERFLOW_TAIL}\n"
+
 
 class TestArgumentErrors:
     def test_usage_errors_exit_one(self, capsys):
@@ -540,3 +811,71 @@ class TestArgumentErrors:
         argv = ["scalar", "--moebius", "0.5", "--tail", "1", "0.5", "--r", "0.2"]
         assert main(argv) == EXIT_INPUT
         assert "--tail" in capsys.readouterr().err
+
+
+class TestFixedCost:
+    """The argparse tree is built once per process, and reusing it changes
+    no output."""
+
+    @staticmethod
+    def call(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_parser_built_once_for_a_mixed_sequence(self, tmp_path, capsys, monkeypatch):
+        # argparse wraps usage lines at the terminal width: pin it for both sides
+        monkeypatch.setenv("COLUMNS", "80")
+        builds = []
+        real = cli.build_parser
+
+        def counting_build():
+            builds.append(None)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        monkeypatch.setattr(cli, "_parser", None)
+        path = write_instance(tmp_path, sine_witness(3))
+        sequence = [
+            ["verify", path, "--r", "0.3", "--format", "json"],
+            ["witness", "--family", "remark-n2", "--r-target", "0.4"],
+            ["verify", path, "--r", "0.6"],
+            ["scalar", "--moebius", "0.9", "--r", "0.4", "--format", "json"],
+            ["table", "--max-n", "5", "--format", "csv"],
+            ["witness", "--family", "bogus"],  # a usage error
+            ["scalar", "--moebius", "0.5", "--r", "0.3", "--tol", "nan"],
+            ["verify", path, "--r", "0.3"],
+        ]
+        results = [self.call(argv, capsys) for argv in sequence]
+        assert len(builds) == 1
+        assert [code for code, _, _ in results] == [
+            EXIT_OK, EXIT_OK, EXIT_VIOLATED, EXIT_VIOLATED, EXIT_OK, EXIT_INPUT, EXIT_INPUT, EXIT_OK
+        ]
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src, "COLUMNS": "80"}
+        for argv, got in zip(sequence, results):
+            command = [sys.executable, "-m", "bohrlab.cli", *argv]
+            fresh = subprocess.run(command, capture_output=True, text=True, env=env)
+            assert (fresh.returncode, fresh.stdout, fresh.stderr) == got, argv
+
+    def test_handler_looked_up_at_each_call(self, capsys, monkeypatch):
+        # a wrapper installed after the parser exists still runs, as the
+        # benchmark's tracer needs
+        assert main(["scalar", "--moebius", "0.5", "--r", "0.3"]) == EXIT_OK
+        seen = []
+        real = cli.cmd_scalar
+        monkeypatch.setattr(cli, "cmd_scalar", lambda args: seen.append(args.r) or real(args))
+        assert main(["scalar", "--moebius", "0.5", "--r", "0.25"]) == EXIT_OK
+        assert seen == [0.25]
+        capsys.readouterr()
+
+    def test_output_file_written_only_when_asked(self, tmp_path, capsys, monkeypatch):
+        path = write_instance(tmp_path, general_witness(2))
+        monkeypatch.setattr(cli, "_write_output", lambda *a: pytest.fail("wrote output"))
+        assert main(["verify", path, "--r", "0.25"]) == EXIT_OK
+        assert main(["scalar", "--moebius", "0.5", "--r", "0.3"]) == EXIT_OK
+        assert main(["table", "--max-n", "3"]) == EXIT_OK
+        capsys.readouterr()

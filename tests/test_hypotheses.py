@@ -91,6 +91,16 @@ class TestTheoremMode:
         assert not report.condition("upper_triangular_a").passed
         assert not report.condition("strictly_upper_sequence").passed
 
+    def test_each_sequence_matrix_scaled_by_its_own_size(self):
+        # the 1e-6 lower entry of the small matrix fails against its own
+        # scale 1, though the large matrix's scale 1e6 would forgive it
+        big, small = 1e6 * np.eye(2, k=1), 1e-6 * np.eye(2, k=-1)
+        for mats, passed in (([big, small], False), ([small, big], False), ([big, big], True)):
+            inst = BohrInstance(np.eye(2), 2.0 * np.eye(2), SequenceSpec.finite(mats))
+            cond = check_theorem_hypotheses(inst).condition("strictly_upper_sequence")
+            assert cond.passed is passed
+            assert cond.slack == (0.0 if passed else -1e-6)
+
     def test_oversized_sequence_norm_fails(self):
         inst = BohrInstance(
             np.eye(2), 2.0 * np.eye(2), SequenceSpec.constant(2.0 * np.eye(2, k=1))

@@ -18,6 +18,7 @@ from bohrlab.linalg import (
     is_upper,
     loewner_leq,
     max_abs,
+    modulus,
     operator_norm,
     re_part,
     require_finite,
@@ -227,6 +228,36 @@ class TestNonFinite:
                 hermitian_eigenvalues(h)
             with pytest.raises(NotHermitianError):
                 hermitian_eigensystem(h)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "h",
+        [
+            [[1.0, np.inf], [np.inf, 1.0]],
+            [[np.inf, 0.0], [0.0, 1.0]],
+            [[1.0, complex(np.inf, 1.0)], [complex(np.inf, -1.0), 1.0]],
+            # finite, but the deviation 2e308 overflows
+            [[0.0, 1e308], [-1e308, 0.0]],
+        ],
+        ids=["inf-pair", "inf-diagonal", "complex-inf", "overflowing-deviation"],
+    )
+    def test_inf_entries_are_not_hermitian_and_do_not_warn(self, h):
+        h = np.array(h, dtype=np.complex128)
+        with pytest.raises(NotHermitianError):
+            hermitian_eigenvalues(h)
+        with pytest.raises(NotHermitianError):
+            hermitian_eigensystem(h)
+        with pytest.raises(NotHermitianError):
+            loewner_leq(h, np.eye(2))
+        with pytest.raises(NotHermitianError):
+            loewner_leq(np.eye(2), h)
+
+    def test_modulus_names_an_overflow(self):
+        assert modulus(3 + 4j, "z") == 5.0
+        assert modulus(-2.5, "z") == 2.5
+        assert modulus(complex(1e308, 1e308) / 2, "z") == abs(complex(1e308, 1e308) / 2)
+        with pytest.raises(NonFiniteError, match=r"^\|z\| is not finite: the input overflows"):
+            modulus(complex(1.5e308, 1.5e308), "|z|")
 
     def test_require_finite(self):
         assert require_finite(2.5, "x") == 2.5

@@ -155,6 +155,15 @@ class TestClassicalVerify:
         with pytest.raises(NonFiniteError, match="the sup-norm estimate"):
             classical_verify(CoeffSeries((1.0, 1.0), (1e308, 0.5)), 0.5)
 
+    def test_overflowing_modulus_is_named(self):
+        huge = complex(1.5e308, -1.5e308)
+        with pytest.raises(NonFiniteError, match=r"^the modulus \|a_1\| of coefficient 1 is not"):
+            scalar_bohr_sum(CoeffSeries((0.5, huge)), 0.5)
+        with pytest.raises(NonFiniteError, match=r"^the tail coefficient \|c\| is not finite"):
+            scalar_bohr_sum(CoeffSeries((), (huge, 0.5)), 0.5)
+        with pytest.raises(NonFiniteError, match=r"^the tail ratio \|rho\| is not finite"):
+            CoeffSeries((1.0,), (1.0, huge))
+
     def test_results_must_be_finite(self):
         with pytest.raises(NonFiniteError):
             ClassicalCheck(True, math.inf, 1.0)

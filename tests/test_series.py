@@ -290,3 +290,15 @@ class TestInstanceChecks:
         inst = BohrInstance(a, a, SequenceSpec.constant(np.eye(2, k=1)))
         with pytest.raises(ValueError, match="alpha0 must be finite"):
             alpha_series(inst)
+
+    def test_alpha_series_names_an_overflowing_modulus(self):
+        # finite pairings and trace whose moduli are beyond the float range
+        huge = complex(1.5e308, 1.5e308)
+        shift = np.eye(2, k=1)
+        seq = SequenceSpec.finite([np.zeros((2, 2)), np.zeros((2, 2)), shift])
+        inst = BohrInstance(shift * huge, np.eye(2), seq)
+        with pytest.raises(NonFiniteError, match=r"^\|alpha_3\| = \|Tr\(A A_3\*\)\| is not finite"):
+            alpha_series(inst)
+        inst = BohrInstance(np.diag([huge, 0.0]), np.eye(2), SequenceSpec.constant(shift))
+        with pytest.raises(NonFiniteError, match=r"^\|Tr\(A\)\| is not finite"):
+            alpha_series(inst)
