@@ -525,7 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--simplex-tol",
         type=float,
         default=1e-9,
-        help="stop a restart when a step moves M by less than this (Frobenius norm)",
+        help="stop a restart when the plain ADMM step from its current point (without "
+        "Anderson mixing) would move M by less than this (Frobenius norm)",
     )
 
     p = sub.add_parser("table", parents=[common], help="tabulate n/(3n-2) against bisection")

@@ -116,6 +116,13 @@ def _require_hermitian(a: np.ndarray, tol: float, name: str) -> None:
         raise NotHermitianError(f"{name} deviates from Hermitian by {dev:.3e}")
 
 
+def _hermitian_part(h: np.ndarray) -> np.ndarray:
+    # eigvalsh and eigh read one triangle only, so they get the Hermitian
+    # part; halving before adding keeps entries near the float limit
+    # finite, where (h + h*) / 2 would overflow
+    return h / 2.0 + h.conj().T / 2.0
+
+
 def hermitian_eigenvalues(h: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, sorted nonincreasing.
 
@@ -124,15 +131,14 @@ def hermitian_eigenvalues(h: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray
     """
     h = np.asarray(h, dtype=np.complex128)
     _require_hermitian(h, tol, "h")
-    # eigvalsh reads one triangle only, so hand it the Hermitian part
-    return np.linalg.eigvalsh((h + h.conj().T) / 2.0)[::-1]
+    return np.linalg.eigvalsh(_hermitian_part(h))[::-1]
 
 
 def hermitian_eigensystem(h: np.ndarray, tol: float = DEFAULT_TOL):
     """Eigenvalues (nonincreasing) and matching orthonormal eigenvectors."""
     h = np.asarray(h, dtype=np.complex128)
     _require_hermitian(h, tol, "h")
-    values, vectors = np.linalg.eigh((h + h.conj().T) / 2.0)
+    values, vectors = np.linalg.eigh(_hermitian_part(h))
     return values[::-1], vectors[:, ::-1]
 
 

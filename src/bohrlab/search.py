@@ -1,4 +1,5 @@
-"""Lockstep ADMM search for the extremal critical radius.
+"""Lockstep ADMM search, with safeguarded Anderson mixing, for the
+extremal critical radius.
 
 The hypotheses leave exactly two degrees of freedom that matter: the
 PSD gap matrix P = S - Re(A) and the strictly-upper contraction M that
@@ -14,7 +15,8 @@ phase search is needed).  Its optimum gives the radius
 
 The solver is ADMM (Boyd et al., Found. Trends Mach. Learn. 3 (2011))
 on the split M = Y, M strictly upper and Y in the unit ball of the
-operator norm, with penalty rho = n.  One step:
+operator norm, with penalty rho = n.  One plain step F maps the state
+u = (M, Y, Lambda) to
 
     x      <- top eigenvector of (M + M*)/2
     M      <- SU(Y - Lambda + x x*/rho)   (SU keeps the strictly-upper part)
@@ -24,18 +26,38 @@ operator norm, with penalty rho = n.  One step:
 Before M moves, each step scores the stacked pairs (x, M) of the live
 restarts with `objective`: the radius of the instance built from
 (x x*, M / max(1, ||M||)), so every reported value belongs to a feasible
-instance.  Each restart keeps its best pair; search() builds the
-winner's instance from it.  A restart stops once a step moves M by less
-than simplex_tol in Frobenius norm, or after max_iters steps.
+instance.  Each restart keeps the M of its best step; search() builds
+the winner's instance from it and the x that scored it.
+
+The iteration is F with type-II Anderson mixing (Walker and Ni, SIAM J.
+Numer. Anal. 49 (2011)) and a safeguard, as Fu, Zhang and Boyd (SIAM J.
+Sci. Comput. 42 (2020)) use it on Douglas-Rachford splitting.  Each
+restart keeps the last five differences dG of F(u) and dR of the
+residual r = F(u) - u between consecutive steps, and the Gram matrix
+dR^T dR, updated one column per step.  Once two differences are stored
+the next point is the Anderson point u <- F(u) - dG gamma, where gamma
+solves (dR^T dR + 1e-10 tr(dR^T dR) I) gamma = dR^T r.  The safeguard
+rejects an Anderson point whose residual norm |r| or whose value is
+larger than at the step before: the restart goes back to the plain
+image F(u) it was mixed from, clears its differences and mixes again
+once two new ones are stored.  The value is the one every step scores,
+so the safeguard costs no evaluation, and a rejected step counts as a
+step and an evaluation like any other.  A restart stops once the plain
+step from its current point would move M by less than simplex_tol in
+Frobenius norm, or after max_iters steps.
 
 Restarts run in lockstep: every live restart takes its step at once,
 with one batched eigh, two batched SVDs (the projection and the honest
-value's ||M||) and one objective call for all of them.  A restart
-leaves the batch when it stops.  Each row of a batch goes through the
-same per-row arithmetic whatever else the batch holds, so a restart's
-trajectory, values and counts do not depend on how many restarts run
-beside it.  Restarts are taken in chunks of consecutive indices whose
-stacked ADMM state fits a fixed memory bound (_STATE_BYTES).
+value's ||M||) and one objective call for all of them, and the mixing
+adds one product of the residual differences with the new difference
+and residual (the Gram column, dR^T r and |r|^2), one batched 5 x 5
+solve and one product with dG: O(n^2) flops per restart beside the
+O(n^3) of the decompositions.  A restart leaves the batch when it
+stops.  Each row of a batch goes through the same per-row arithmetic
+whatever else the batch holds, so a restart's trajectory, values and
+counts do not depend on how many restarts run beside it.  Restarts are
+taken in chunks of consecutive indices whose stacked state, the mixing
+history included, fits a fixed memory bound (_STATE_BYTES).
 """
 
 from __future__ import annotations
@@ -81,15 +103,26 @@ class SearchConfig:
             raise ValueError(f"simplex_tol must be finite and > 0, got {self.simplex_tol}")
 
 
-# bound on the bytes one chunk of restarts stacks: M, Y, Lambda and the best M
+# bound on the bytes one chunk of restarts stacks (see _restart_bytes)
 _STATE_BYTES = 8 << 20
+# Anderson mixing: the differences kept per restart, the Tikhonov weight
+# relative to the trace of their Gram matrix (tiny keeps an all-zero
+# Gram matrix solvable), and the first step with two differences stored
+# (step 1 has no step before it to differ from)
+_MEMORY = 5
+_REGULARIZATION = 1e-10
+_TINY = np.finfo(np.float64).tiny
+_EYE = np.eye(_MEMORY)
+_FIRST_MIX = 3
 
 
 @dataclass(frozen=True)
 class RestartRecord:
     """How one restart ended: its best value, the ADMM steps and
-    objective evaluations it used, and why it stopped: "converged" when
-    a step moved M by less than simplex_tol, else "max_iters"."""
+    objective evaluations it used (one per step, rejected Anderson steps
+    included), and why it stopped: "converged" when the plain step from
+    its last point would move M by less than simplex_tol, else
+    "max_iters"."""
 
     best: float
     iterations: int
@@ -126,15 +159,8 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _scales(M: np.ndarray) -> np.ndarray:
-    """max(1, ||M||) for each matrix of a (k, n, n) stack.  The singular
-    value decomposition runs only on matrices whose Frobenius norm does
-    not already certify ||M|| <= 1."""
-    flat = M.reshape(len(M), -1).view(np.float64)
-    scale = np.ones(len(M))
-    big = (_dots(flat, flat) > 1.0).nonzero()[0]
-    if big.size:
-        scale[big] = np.maximum(1.0, np.linalg.svd(M[big], compute_uv=False)[:, 0])
-    return scale
+    """max(1, ||M||) for each matrix of a (k, n, n) stack."""
+    return np.maximum(1.0, np.linalg.svd(M, compute_uv=False)[:, 0])
 
 
 def objective(x, M) -> np.ndarray:
@@ -157,7 +183,7 @@ def objective(x, M) -> np.ndarray:
         raise BadLengthError(
             f"expected x of shape (k, n) and M of shape (k, n, n), got {x.shape} and {M.shape}"
         )
-    q = _dots(x.conj(), (M @ x[:, :, None])[:, :, 0])
+    q = (x.conj()[:, None, :] @ (M @ x[:, :, None]))[:, 0, 0]
     # hypot rounds as abs() of a Python complex does
     mag = 2.0 * np.hypot(q.real, q.imag) / _scales(M)
     D = _dots(x.view(np.float64), x.view(np.float64))
@@ -193,52 +219,71 @@ def materialize(n: int, P, M, tol: float = DEFAULT_TOL) -> BohrInstance:
     return inst
 
 
+def _restart_bytes(n: int) -> int:
+    """Bytes of the state one restart keeps between steps: u = (M, Y,
+    Lambda), the last F(u) and residual, MEMORY differences of each, the
+    current residual and the best M."""
+    return 16 * n * n * (3 + 6 + 6 * _MEMORY + 3 + 1)
+
+
 def _run_restart(cfg: SearchConfig, indices: range, eval_hook):
-    """Lockstep ADMM over the restarts `indices`, with penalty rho = n.
+    """Lockstep ADMM with safeguarded Anderson mixing over the restarts
+    `indices`, with penalty rho = n.
 
     Restart i starts from M = Y = a strictly-upper complex Gaussian drawn
     from a generator seeded by (cfg.seed, i) and normalized to ||M|| = 1,
-    with Lambda = 0.  The arrays hold only the live restarts, one row
-    each; a restart that stops is recorded and dropped.  Returns (best x,
-    best M, RestartRecord) per index, in order.
+    with Lambda = 0.  Each row of U is one live restart's state u = (M,
+    Y, Lambda) as 6 n^2 floats; a restart that stops is recorded and
+    dropped.  Returns (best M, RestartRecord) per index, in order.
     """
     n = cfg.n
+    k = len(indices)
     strict = np.triu(np.ones((n, n), dtype=bool), 1)
     starts = [np.random.default_rng([cfg.seed, i]).standard_normal(n * (n - 1)) for i in indices]
-    M = np.zeros((len(indices), n, n), dtype=np.complex128)
+    M = np.zeros((k, n, n), dtype=np.complex128)
     M[:, strict] = np.array(starts).view(np.complex128)
     M /= np.linalg.svd(M, compute_uv=False)[:, :1, None]
-    Y = M.copy()
-    Lam = np.zeros_like(M)
-    best = np.full(len(indices), np.inf)
-    best_x = np.zeros((len(indices), n), dtype=np.complex128)
+    U = np.stack((M, M, np.zeros_like(M)), axis=1).reshape(k, -1).view(np.float64)
+    best = np.full(k, np.inf)
     best_M = np.zeros_like(M)
-    lanes = np.arange(len(indices))  # chunk position of each live restart
+    # dG holds the last MEMORY differences of F(u), slot it % MEMORY the
+    # one from step it; H the matching differences of the residual
+    # F(u) - u and, in its last row, the current residual
+    dG = np.zeros((k, _MEMORY, U.shape[1]))
+    H = np.zeros((k, _MEMORY + 1, U.shape[1]))
+    gram = np.zeros((k, _MEMORY, _MEMORY))  # the differences' Gram matrix
+    ready = np.full(k, _FIRST_MIX)  # the first step at which each restart mixes
+    G_last = R_last = last_value = last_rr = None  # F(u), r, value, |r|^2 of the step before
+    lanes = np.arange(k)  # chunk position of each live restart
     tol2 = cfg.simplex_tol * cfg.simplex_tol
-    out: list = [None] * len(indices)
+    out: list = [None] * k
 
     for it in range(1, cfg.max_iters + 1):
-        x = np.ascontiguousarray(np.linalg.eigh(M + M.conj().transpose(0, 2, 1))[1][:, :, -1])
+        M, Y, Lam = U.view(np.complex128).reshape(len(U), 3, n, n).transpose(1, 0, 2, 3)
+        # M + M* has M's upper triangle, the one eigh reads with UPLO="U"
+        x = np.ascontiguousarray(np.linalg.eigh(M, UPLO="U")[1][:, :, -1])
         values = objective(x, M)
         if eval_hook is not None:
             for value in values:
                 eval_hook(float(value))
         better = values < best
-        best[better] = values[better]
-        best_x[better] = x[better]
-        best_M[better] = M[better]
+        np.copyto(best, values, where=better)
+        np.copyto(best_M, M, where=better[:, None, None])
 
-        # x x* through BLAS, like every complex product here (see objective)
-        xx = x[:, :, None] @ x.conj()[:, None, :]
-        new = np.where(strict, Y - Lam + xx / n, 0.0)
-        step = (new - M).reshape(lanes.size, -1).view(np.float64)
-        M = new
+        # G = F(u), the plain ADMM step; x x* through BLAS, like every
+        # complex product here (see objective)
+        G = np.zeros(U.shape)
+        GM, GY, GLam = G.view(np.complex128).reshape(len(G), 3, n, n).transpose(1, 0, 2, 3)
+        np.copyto(GM, Y - Lam + x[:, :, None] @ (x.conj() / n)[:, None, :], where=strict)
         # Y is M + Lambda with its singular values clipped at 1, and the
         # updated Lambda = Lambda + M - Y is the part that was clipped off
-        Z = M + Lam
-        U, s, Vh = np.linalg.svd(Z)
-        Lam = (U * np.maximum(s - 1.0, 0.0)[:, None, :]) @ Vh
-        Y = Z - Lam
+        Z = GM + Lam
+        W, s, Vh = np.linalg.svd(Z)
+        np.matmul(W * np.maximum(s - 1.0, 0.0)[:, None, :], Vh, out=GLam)
+        np.subtract(Z, GLam, out=GY)
+        R = H[:, _MEMORY]
+        np.subtract(G, U, out=R)
+        step = R[:, : 2 * n * n]  # how far the plain step moves M
 
         converged = _dots(step, step) < tol2
         stopped = converged if it < cfg.max_iters else np.ones_like(converged)
@@ -247,19 +292,53 @@ def _run_restart(cfg: SearchConfig, indices: range, eval_hook):
             for j in done:
                 stop = "converged" if converged[j] else "max_iters"
                 record = RestartRecord(float(best[j]), it, it, stop)
-                out[lanes[j]] = (best_x[j].copy(), best_M[j].copy(), record)
+                out[lanes[j]] = (best_M[j].copy(), record)
             live = ~stopped
-            M, Y, Lam, best, best_x, best_M, lanes = (
-                a[live] for a in (M, Y, Lam, best, best_x, best_M, lanes)
-            )
-            if not lanes.size:
+            if not live.any():
                 break
+            best, best_M, lanes, values, G, H, dG, gram, ready = (
+                a[live] for a in (best, best_M, lanes, values, G, H, dG, gram, ready)
+            )
+            R = H[:, _MEMORY]
+            if it > 1:
+                G_last, R_last, last_value, last_rr = (
+                    a[live] for a in (G_last, R_last, last_value, last_rr)
+                )
+
+        slot = it % _MEMORY
+        if it > 1:
+            np.subtract(G, G_last, out=dG[:, slot])
+            np.subtract(R, R_last, out=H[:, slot])
+        # one product with rows slot and MEMORY of H gives the new Gram
+        # column, the right-hand side dR^T r and the residual norm |r|^2
+        P = H @ H[:, slot :: _MEMORY - slot].transpose(0, 2, 1)
+        gram[:, slot] = gram[:, :, slot] = P[:, :_MEMORY, 0]
+        rr = P[:, _MEMORY, 1]
+        if it > _FIRST_MIX:
+            # the safeguard: an Anderson point whose residual norm or value
+            # is worse than the step before's is dropped for the plain image
+            # it was mixed from, and its restart's differences are cleared
+            worse = (rr > last_rr) | (values > last_value)
+            reject = (worse & (ready < it)).nonzero()[0]
+            if reject.size:
+                G[reject] = G_last[reject]
+                R[reject] = R_last[reject]
+                H[reject, :_MEMORY] = dG[reject] = gram[reject] = P[reject, :_MEMORY] = 0.0
+                ready[reject] = it + 2  # after two new differences
+        U = G
+        if it >= _FIRST_MIX:
+            # type II: gamma = argmin |r - dR gamma|, u <- F(u) - dG gamma
+            shift = _REGULARIZATION * gram.trace(axis1=1, axis2=2) + _TINY
+            gamma = np.linalg.solve(gram + np.multiply.outer(shift, _EYE), P[:, :_MEMORY, 1:])
+            U = np.where((ready <= it)[:, None], G - (gamma.transpose(0, 2, 1) @ dG)[:, 0], G)
+        G_last, R_last, last_value, last_rr = G, R.copy(), values, rr
 
     return out
 
 
 def search(cfg: SearchConfig, eval_hook=None) -> RadiusEstimate:
-    """Minimize the critical radius over cfg.restarts independent ADMM runs.
+    """Minimize the critical radius over cfg.restarts independent runs of
+    ADMM with safeguarded Anderson mixing.
 
     Restarts run in lockstep, in chunks of consecutive indices.  Each
     draws its start from a generator seeded by (cfg.seed, restart
@@ -267,14 +346,16 @@ def search(cfg: SearchConfig, eval_hook=None) -> RadiusEstimate:
     eval_hook, when given, observes every objective value.  The instance
     is built from the winner's (x x*, M / max(1, ||M||)).
     """
-    size = max(1, _STATE_BYTES // (4 * 16 * cfg.n * cfg.n))
+    size = max(1, _STATE_BYTES // _restart_bytes(cfg.n))
     results = []
     for start in range(0, cfg.restarts, size):
         results += _run_restart(cfg, range(start, min(start + size, cfg.restarts)), eval_hook)
 
-    records = tuple(rec for _, _, rec in results)
+    records = tuple(rec for _, rec in results)
     winner = min(range(cfg.restarts), key=lambda i: (records[i].best, i))
-    x, M, _ = results[winner]
+    M = results[winner][0]
+    # the x that scored M, as the step computes it
+    x = np.ascontiguousarray(np.linalg.eigh(M, UPLO="U")[1][:, -1])
     instance = materialize(cfg.n, np.outer(x, x.conj()), M / _scales(M[None])[0])
     return RadiusEstimate(records[winner].best, instance, records)
 

@@ -252,6 +252,33 @@ class TestNonFinite:
         with pytest.raises(NotHermitianError):
             loewner_leq(np.eye(2), h)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_hermitian_part_of_huge_finite_entries_stays_finite(self):
+        # (h + h*) / 2 overflows to inf here; h/2 + h*/2 does not
+        h = np.array([[1.0, 1e308 + 1e308j], [1e308 - 1e308j, 1.0]])
+        top = math.hypot(1e308, 1e308)  # the eigenvalues 1 +- |h_01| round to +-top
+        values = hermitian_eigenvalues(h)
+        assert np.allclose(values, [top, -top], rtol=1e-14, atol=0.0)
+        values, vectors = hermitian_eigensystem(h)
+        assert np.allclose(values, [top, -top], rtol=1e-14, atol=0.0)
+        for j in range(2):
+            residual = h @ vectors[:, j] / top - values[j] / top * vectors[:, j]
+            assert np.max(np.abs(residual)) <= 1e-14
+
+    def test_hermitian_part_matches_the_plain_formula_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        for n in range(1, 40):
+            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            # Hermitian up to a rounding-sized skew part, which the
+            # Hermitian part removes
+            h = a + a.conj().T + 1e-13 * (a - a.conj().T)
+            plain = (h + h.conj().T) / 2.0
+            assert np.array_equal(hermitian_eigenvalues(h), np.linalg.eigvalsh(plain)[::-1])
+            values, vectors = hermitian_eigensystem(h)
+            ref_values, ref_vectors = np.linalg.eigh(plain)
+            assert np.array_equal(values, ref_values[::-1])
+            assert np.array_equal(vectors, ref_vectors[:, ::-1])
+
     def test_modulus_names_an_overflow(self):
         assert modulus(3 + 4j, "z") == 5.0
         assert modulus(-2.5, "z") == 2.5

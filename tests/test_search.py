@@ -45,32 +45,61 @@ def optimum(n):
     return 1.0 / (1.0 + 2.0 * math.cos(math.pi / (n + 1)))
 
 
-def serial_admm(n, seed, index, max_iters, simplex_tol):
-    """One restart as a plain loop on 2-d arrays, each step scored as a
-    batch of one: the reference that the lockstep search must match bit
+def serial_anderson(n, seed, index, max_iters, simplex_tol):
+    """One restart as a plain loop on 1-d and 2-d arrays: ADMM with
+    safeguarded type-II Anderson mixing, each step scored and mixed as a
+    batch of one.  The reference that the lockstep search must match bit
     for bit.
 
-    Returns (best value, iterations, evaluations, stop reason).
+    Returns (best value, iterations, evaluations, stop reason, rejected
+    Anderson points).
     """
+    memory = 5
     up, down = np.triu_indices(n, 1)
     M = np.zeros((n, n), dtype=np.complex128)
     M[up, down] = np.random.default_rng([seed, index]).standard_normal(n * (n - 1)).view(complex)
     M /= np.linalg.svd(M, compute_uv=False)[0]
-    Y, Lam = M.copy(), np.zeros_like(M)
-    best = math.inf
+    u = np.concatenate((M, M, np.zeros_like(M))).ravel().view(np.float64)  # (M, Y, Lambda)
+    dG = np.zeros((memory, u.size))  # differences of F(u), slot it % memory for step it
+    H = np.zeros((memory + 1, u.size))  # differences of the residual, then the residual
+    gram = np.zeros((memory, memory))
+    best, ready, rejected = math.inf, 3, 0  # mix from step `ready` on
     for it in range(1, max_iters + 1):
-        x = np.ascontiguousarray(np.linalg.eigh(M + M.conj().T)[1][:, -1])
-        best = min(best, objective(x[None], M[None])[0])
-        new = np.triu(Y - Lam + (x[:, None] @ x.conj()[None, :]) / n, 1)
-        step = (new - M).ravel().view(np.float64)
-        M = new
-        Z = M + Lam
-        U, s, Vh = np.linalg.svd(Z)
-        Lam = (U * np.maximum(s - 1.0, 0.0)) @ Vh
-        Y = Z - Lam
+        M, Y, Lam = u.view(np.complex128).reshape(3, n, n)
+        x = np.ascontiguousarray(np.linalg.eigh(M + M.conj().T, UPLO="U")[1][:, -1])
+        value = objective(x[None], M[None])[0]
+        best = min(best, value)
+        g_M = np.triu(Y - Lam + x[:, None] @ (x.conj() / n)[None, :], 1)
+        Z = g_M + Lam
+        W, s, Vh = np.linalg.svd(Z)
+        g_Lam = (W * np.maximum(s - 1.0, 0.0)) @ Vh
+        g = np.concatenate((g_M, Z - g_Lam, g_Lam)).ravel().view(np.float64)
+        r = g - u
+        step = r[: 2 * n * n]  # the plain step's move of M
         if step @ step < simplex_tol**2:
-            return best, it, it, "converged"
-    return best, max_iters, max_iters, "max_iters"
+            return best, it, it, "converged", rejected
+        slot = it % memory
+        H[memory] = r
+        if it > 1:
+            dG[slot] = g - g_last
+            H[slot] = r - r_last
+        P = (H[None] @ H[None, [slot, memory]].transpose(0, 2, 1))[0]
+        gram[slot] = gram[:, slot] = P[:memory, 0]
+        rhs = P[:memory, 1:]
+        if ready < it and (P[memory, 1] > rr_last or value > value_last):
+            # u was an Anderson point and got worse: back to the plain
+            # image it was mixed from, with no differences stored
+            rejected += 1
+            g, r = g_last, r_last
+            dG[:] = H[:memory] = gram[:] = rhs[:] = 0.0
+            ready = it + 2
+        u = g
+        if ready <= it:
+            A = gram + (1e-10 * np.trace(gram) + np.finfo(float).tiny) * np.eye(memory)
+            gamma = np.linalg.solve(A[None], rhs[None])
+            u = g - (gamma.transpose(0, 2, 1) @ dG[None])[0, 0]
+        g_last, r_last, value_last, rr_last = g, r.copy(), value, P[memory, 1]
+    return best, max_iters, max_iters, "max_iters", rejected
 
 
 class TestObjective:
@@ -117,7 +146,7 @@ class TestObjective:
                 x, M = random_pairs(rng, k, n)
                 x *= rng.uniform(0.05, 3.0, (k, 1))
                 M *= rng.uniform(0.05, 3.0, (k, 1, 1))
-                M[0] *= 0.1 / np.linalg.norm(M[0])  # a Frobenius norm that skips the SVD
+                M[0] *= 0.1 / np.linalg.norm(M[0])  # a contraction: its scale is 1
                 batch = objective(x, M)
                 assert batch.shape == (k,)
                 singles = np.array([objective(x[i : i + 1], M[i : i + 1])[0] for i in range(k)])
@@ -272,21 +301,43 @@ class TestSearch:
         assert many.per_restart_best[:2] == few.per_restart_best
 
     @pytest.mark.parametrize(
-        "n, restarts, max_iters", [(2, 3, 2000), (3, 2, 300), (3, 2, 40), (4, 3, 2000)]
+        "n, restarts, max_iters",
+        [(2, 3, 2000), (3, 2, 300), (3, 2, 40), (3, 2, 36), (4, 3, 2000), (5, 4, 2000)],
     )
     def test_lockstep_matches_serial_restarts(self, n, restarts, max_iters):
-        # every restart converges after its own step count, except at
-        # max_iters=40, where n=3 stops at max_iters
+        # n=2 converges in three plain steps; at max_iters=36 one n=3
+        # restart converges and the other stops at max_iters; every other
+        # restart converges after its own step count, and from n=3 on the
+        # safeguard rejects Anderson points at steps that differ between
+        # the restarts of a batch
         cfg = SearchConfig(n=n, restarts=restarts, max_iters=max_iters, seed=4)
         est = search(cfg)
         for i, rec in enumerate(est.per_restart):
-            ref = serial_admm(n, cfg.seed, i, cfg.max_iters, cfg.simplex_tol)
-            assert (rec.best, rec.iterations, rec.evaluations, rec.stop) == ref
+            ref = serial_anderson(n, cfg.seed, i, cfg.max_iters, cfg.simplex_tol)
+            assert (rec.best, rec.iterations, rec.evaluations, rec.stop) == ref[:4]
+        if max_iters == 36:
+            assert [rec.stop for rec in est.per_restart] == ["max_iters", "converged"]
+
+    def test_safeguard_fires_and_is_matched(self):
+        # the restarts reject Anderson points at different steps, so their
+        # rows leave and rejoin the mixing at different times
+        cfg = SearchConfig(n=4, restarts=3, max_iters=2000, seed=4)
+        est = search(cfg)
+        refs = [serial_anderson(4, cfg.seed, i, cfg.max_iters, cfg.simplex_tol) for i in range(3)]
+        assert [rec.stop for rec in est.per_restart] == ["converged"] * 3
+        assert [(r.best, r.iterations, r.evaluations, r.stop) for r in est.per_restart] == [
+            ref[:4] for ref in refs
+        ]
+        assert all(ref[4] > 0 for ref in refs)
+        assert len({ref[1] for ref in refs}) > 1
 
     def test_chunking_does_not_change_the_result(self, monkeypatch):
         cfg = SearchConfig(n=3, restarts=5, max_iters=400, seed=17)
         whole = search(cfg)
-        state = 4 * 16 * 3 * 3  # M, Y, Lambda and the best M of one order-3 restart
+        # what one order-3 restart keeps, in order-3 complex matrices: M, Y
+        # and Lambda; F(u) and the residual of the step before; five
+        # differences of each; the current residual; the best M
+        state = 16 * 3 * 3 * (3 + 6 + 6 * 5 + 3 + 1)
         run_restart, sizes = search_module._run_restart, []
 
         def counted(cfg, indices, eval_hook):
@@ -314,6 +365,22 @@ class TestSearch:
         assert all(rec.iterations < cfg.max_iters for rec in est.per_restart)
         assert [rec.stop for rec in est.per_restart] == ["converged"] * 4
 
+    def test_order_sixteen_converges_to_the_optimum(self):
+        # plain ADMM stops at max_iters here, 2e-4 above the optimum
+        est = search(SearchConfig(n=16, restarts=2, max_iters=20000, seed=1))
+        assert [rec.stop for rec in est.per_restart] == ["converged"] * 2
+        assert 0.0 <= est.gap < 1e-6
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_every_restart_reaches_the_optimum(self, n, seed):
+        # each restart, not only the winner: an Anderson point kept without
+        # the safeguard stops restarts converged up to 0.1 above it
+        est = search(SearchConfig(n=n, restarts=16, seed=seed))
+        for rec in est.per_restart:
+            assert rec.stop == "converged"
+            assert abs(rec.best - optimum(n)) <= 1e-6
+
     @pytest.mark.parametrize("n", [2, 3, 4, 8])
     def test_reaches_the_closed_form_optimum(self, n):
         est = search(SearchConfig(n=n, restarts=2, max_iters=20000, seed=7))
@@ -340,9 +407,13 @@ class TestSearch:
         assert np.all(np.abs(eigs[:-1]) <= 1e-12 * eigs[-1])
         assert abs(np.trace(gap).real - eigs[-1]) <= 1e-12 * eigs[-1]
 
-    @pytest.mark.parametrize("n, seed, max_iters", [(3, 1, 20), (4, 3, 5), (5, 3, 20), (6, 7, 40)])
+    @pytest.mark.parametrize(
+        "n, seed, max_iters",
+        [(3, 1, 20), (4, 3, 5), (5, 3, 20), (6, 7, 40), (3, 1, 12), (4, 5, 20), (5, 1, 8), (6, 7, 20)],
+    )
     def test_instance_is_the_best_step(self, n, seed, max_iters):
-        # the winner's last step is 2e-3 to 1e-4 worse than its best one here
+        # in the last four cases the winner's last step is 4e-3 to 9e-2
+        # worse than its best one
         est = search(SearchConfig(n=n, restarts=2, max_iters=max_iters, seed=seed))
         inst_r = critical_radius(alpha_series(est.instance), float(np.trace(est.instance.S).real))
         assert abs(inst_r - est.r_star) <= 1e-9
