@@ -35,6 +35,7 @@ from .series import (
     alpha_series,
     check_inequality,
     critical_radius,
+    leading_blocks,
 )
 from .witnesses import general_witness, remark_parameters, remark_two_witness, sine_witness
 
@@ -374,17 +375,16 @@ def cmd_radius_search(args) -> int:
     return EXIT_OK
 
 
-def _table_row(n: int) -> tuple[int, float, float, float]:
-    # one order-n instance lives only for the duration of this call
-    inst = general_witness(n)
-    series = alpha_series(inst)
-    bisected = critical_radius(series, float(np.trace(inst.S).real))
-    formula = n / (3.0 * n - 2.0)
-    return n, formula, bisected, abs(formula - bisected)
-
-
 def _table_rows(max_n: int) -> list[tuple[int, float, float, float]]:
-    return [_table_row(n) for n in range(2, max_n + 1)]
+    # the order-n staircase is the leading n x n block of the order-max_n
+    # one, so a single build serves every row
+    rows = []
+    for n, series, budget in leading_blocks(general_witness(max_n)):
+        if n >= 2:
+            bisected = critical_radius(series, budget)
+            formula = n / (3.0 * n - 2.0)
+            rows.append((n, formula, bisected, abs(formula - bisected)))
+    return rows
 
 
 def cmd_table(args) -> int:
@@ -520,7 +520,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("radius-search", parents=[common], help="search for the extremal radius")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--restarts", type=int, default=32)
-    p.add_argument("--max-iters", type=int, default=2000)
+    p.add_argument(
+        "--max-iters",
+        type=int,
+        default=10000,
+        help="ADMM steps per restart at most (the default lets orders n <= 16 converge)",
+    )
     p.add_argument(
         "--simplex-tol",
         type=float,

@@ -115,8 +115,7 @@ def _gap_psd_condition(a: np.ndarray, s: np.ndarray, tol: float) -> ConditionRep
     zero eigenvalue of an order-n gap only to about n eps scale, so that
     rounding is allowed even at tol = 0.
     """
-    gap = s - re_part(a)
-    gap = require_finite(0.5 * (gap + adjoint(gap)), "the gap S - Re(A)")
+    gap = require_finite(re_part(s - re_part(a)), "the gap S - Re(A)")
     values = require_finite(hermitian_eigenvalues(gap), "an eigenvalue of the gap S - Re(A)")
     lam_min = float(values[-1]) if values.size else 0.0
     scale = max(1.0, float(np.max(np.abs(values))) if values.size else 0.0)

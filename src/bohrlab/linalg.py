@@ -83,9 +83,14 @@ def adjoint(a: np.ndarray) -> np.ndarray:
 
 
 def re_part(a: np.ndarray) -> np.ndarray:
-    """Hermitian real part (a + a*) / 2."""
+    """Hermitian real part (a + a*) / 2, formed as a/2 + a*/2.
+
+    Halving before adding keeps entries near the float limit finite,
+    where a + a* would overflow; away from subnormals halving is exact,
+    so the two forms agree bit for bit.
+    """
     a = np.asarray(a, dtype=np.complex128)
-    return (a + a.conj().T) / 2.0
+    return a / 2.0 + a.conj().T / 2.0
 
 
 def trace_pairing(a: np.ndarray, b: np.ndarray) -> complex:
@@ -116,13 +121,6 @@ def _require_hermitian(a: np.ndarray, tol: float, name: str) -> None:
         raise NotHermitianError(f"{name} deviates from Hermitian by {dev:.3e}")
 
 
-def _hermitian_part(h: np.ndarray) -> np.ndarray:
-    # eigvalsh and eigh read one triangle only, so they get the Hermitian
-    # part; halving before adding keeps entries near the float limit
-    # finite, where (h + h*) / 2 would overflow
-    return h / 2.0 + h.conj().T / 2.0
-
-
 def hermitian_eigenvalues(h: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, sorted nonincreasing.
 
@@ -131,14 +129,15 @@ def hermitian_eigenvalues(h: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray
     """
     h = np.asarray(h, dtype=np.complex128)
     _require_hermitian(h, tol, "h")
-    return np.linalg.eigvalsh(_hermitian_part(h))[::-1]
+    # eigvalsh and eigh read one triangle only, so they get re_part(h)
+    return np.linalg.eigvalsh(re_part(h))[::-1]
 
 
 def hermitian_eigensystem(h: np.ndarray, tol: float = DEFAULT_TOL):
     """Eigenvalues (nonincreasing) and matching orthonormal eigenvectors."""
     h = np.asarray(h, dtype=np.complex128)
     _require_hermitian(h, tol, "h")
-    values, vectors = np.linalg.eigh(_hermitian_part(h))
+    values, vectors = np.linalg.eigh(re_part(h))
     return values[::-1], vectors[:, ::-1]
 
 

@@ -88,7 +88,7 @@ class NotContractionError(ValueError):
 class SearchConfig:
     n: int
     restarts: int = 32
-    max_iters: int = 2000
+    max_iters: int = 10000
     seed: int = 0
     simplex_tol: float = 1e-9
 

@@ -158,6 +158,19 @@ class BohrInstance:
         return self.A.shape[0]
 
 
+def _alpha0(tr: complex, tol: float) -> float:
+    """alpha_0 = Re Tr(A) from Tr(A), clamped at 0 within tolerance.
+
+    Raises NonrealTraceError or NegativeTraceError when Tr(A) is not
+    real, or its real part not nonnegative, within tol.
+    """
+    if abs(tr.imag) > tol * max(1.0, modulus(tr, "|Tr(A)|")):
+        raise NonrealTraceError(f"Tr(A) = {tr} has a nonreal part beyond tolerance")
+    if tr.real < -tol:
+        raise NegativeTraceError(f"Re Tr(A) = {tr.real} is negative")
+    return max(tr.real, 0.0)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def alpha_series(inst: BohrInstance, tol: float = DEFAULT_TOL) -> AlphaSeries:
     """Alpha series of an instance.
@@ -167,12 +180,7 @@ def alpha_series(inst: BohrInstance, tol: float = DEFAULT_TOL) -> AlphaSeries:
     produces explicit magnitudes and a zero tail.  A modulus beyond the
     float range raises NonFiniteError.
     """
-    tr = complex(np.trace(inst.A))
-    if abs(tr.imag) > tol * max(1.0, modulus(tr, "|Tr(A)|")):
-        raise NonrealTraceError(f"Tr(A) = {tr} has a nonreal part beyond tolerance")
-    if tr.real < -tol:
-        raise NegativeTraceError(f"Re Tr(A) = {tr.real} is negative")
-    alpha0 = max(tr.real, 0.0)
+    alpha0 = _alpha0(complex(np.trace(inst.A)), tol)
     mags = tuple(
         modulus(trace_pairing(inst.A, a_m), f"|alpha_{m}| = |Tr(A A_{m}*)|")
         for m, a_m in enumerate(inst.seq.matrices, 1)
@@ -180,6 +188,36 @@ def alpha_series(inst: BohrInstance, tol: float = DEFAULT_TOL) -> AlphaSeries:
     if inst.seq.kind == "constant":
         return AlphaSeries(alpha0, (), mags[0])
     return AlphaSeries(alpha0, mags, 0.0)
+
+
+def leading_blocks(inst: BohrInstance) -> list[tuple[int, AlphaSeries, float]]:
+    """(k, alpha series, budget Re Tr(S)) of the leading k x k block of
+    a constant-sequence instance, for k = 1, ..., n.
+
+    Block k is block k-1 plus row and column k, so Tr(A), Tr(S) and the
+    pairing Tr(A M*) grow by one border each: the walk reads every entry
+    once, O(n^2) in all, where alpha_series on each block would read
+    O(n^3).  The sums run in another order than alpha_series's and agree
+    with it to rounding; bit for bit wherever every partial sum is an
+    exact float, as for integer entries.  The checks and errors are
+    alpha_series's, at the default tolerance, raised for the first block
+    that fails them; no numpy warning needs silencing, since Python
+    float arithmetic and np.vdot overflow to inf without one.
+    """
+    if inst.seq.kind != "constant":
+        raise ValueError("leading blocks need a constant sequence")
+    a, s, m = inst.A, inst.S, inst.seq.matrices[0]
+    tr, budget, pairing = 0j, 0.0, 0j
+    blocks = []
+    for k in range(inst.order):
+        tr += complex(a[k, k])
+        budget += float(s[k, k].real)
+        # row k up to the diagonal, then column k above it
+        pairing += trace_pairing(a[k, : k + 1], m[k, : k + 1])
+        pairing += trace_pairing(a[:k, k], m[:k, k])
+        tail = modulus(pairing, "|alpha_1| = |Tr(A A_1*)|")
+        blocks.append((k + 1, AlphaSeries(_alpha0(tr, DEFAULT_TOL), (), tail), budget))
+    return blocks
 
 
 def bohr_sum(series: AlphaSeries, r: float) -> float:

@@ -1,5 +1,6 @@
 """Command-line interface: documents, exit codes, output formats."""
 
+import hashlib
 import json
 import math
 import os
@@ -24,7 +25,7 @@ from bohrlab.cli import (
     main,
     save_instance,
 )
-from bohrlab.series import BohrInstance, SequenceSpec
+from bohrlab.series import BohrInstance, SequenceSpec, alpha_series, critical_radius
 from bohrlab.witnesses import general_witness, remark_two_witness, sine_witness
 
 SQRT2 = math.sqrt(2.0)
@@ -485,6 +486,24 @@ class TestVerifyCommand:
         assert payload["critical_radius"] == 0.666666666666758
         assert all(math.isfinite(payload["check"][k]) for k in ("lhs", "rhs", "slack"))
 
+    def test_near_limit_gap_is_decided(self, tmp_path, capsys):
+        # Re(A) and the gap diag(1e307, 1) are finite and PSD; halving
+        # before adding keeps the symmetrized forms finite too
+        inst = BohrInstance(
+            np.diag([1.5e308, 0.0]),
+            np.diag([1.6e308, 1.0]),
+            SequenceSpec.constant(np.zeros((2, 2))),
+        )
+        path = write_instance(tmp_path, inst)
+        code, out, err = run_strict(["verify", path, "--r", "0.3", "--format", "json"], capsys)
+        assert code == EXIT_OK
+        assert err == ""
+        payload = json.loads(out)
+        assert payload["hypotheses"]["overall"]
+        assert payload["check"]["holds"]
+        assert payload["check"]["slack"] == pytest.approx(1e307, rel=1e-12)
+        assert payload["critical_radius"] == 1.0
+
     @pytest.mark.parametrize("n", [3, 4, 8, 100])
     def test_zero_tolerance_passes_rank_one_gap_witnesses(self, tmp_path, capsys, n):
         # LAPACK returns the zero eigenvalues of a rank-one gap slightly
@@ -631,6 +650,14 @@ class TestRadiusSearchCommand:
         pooled = json.loads(capsys.readouterr().out)
         assert serial["per_restart_best"] == pooled["per_restart_best"]
 
+    def test_default_cap_lets_order_twelve_converge(self, capsys):
+        code = main(["radius-search", "--n", "12", "--restarts", "2", "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == EXIT_OK
+        assert payload["max_iters"] == 10000
+        assert [rec["stop"] for rec in payload["per_restart"]] == ["converged"] * 2
+        assert abs(payload["gap"]) <= 1e-9
+
     def test_saves_instance(self, tmp_path, capsys):
         sink = tmp_path / "found.json"
         main(self.ARGS + ["--output", str(sink)])
@@ -671,6 +698,22 @@ class TestTableCommand:
             tracemalloc.stop()
         capsys.readouterr()
         assert peak < 4 * 16 * n * n
+
+    def test_rows_match_a_build_per_order(self):
+        # the route that builds each order's staircase on its own
+        expected = []
+        for n in range(2, 151):
+            inst = general_witness(n)
+            bisected = critical_radius(alpha_series(inst), float(np.trace(inst.S).real))
+            formula = n / (3.0 * n - 2.0)
+            expected.append((n, formula, bisected, abs(formula - bisected)))
+        assert cli._table_rows(150) == expected
+
+    def test_order_thousand_csv_digest(self, capsys):
+        assert main(["table", "--max-n", "1000", "--format", "csv"]) == EXIT_OK
+        out = capsys.readouterr().out
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "334c5167d8c722789a95c9989e9bd3f118ad270464dfd765e97ec7bae3a13ed3"
 
     def test_rejects_small_max_n(self, capsys):
         assert main(["table", "--max-n", "1"]) == EXIT_INPUT

@@ -233,10 +233,21 @@ class TestNonFinite:
         assert ConditionReport("gap_psd", False, -1e308).slack == -1e308
 
     def test_gap_that_overflows(self):
-        # S - Re(A) is finite, its symmetrization 2e308 / 2 is not
+        # Re(A) and S are finite, the off-diagonal gap -1.7e308 - 0.85e308 is not
+        a = np.array([[0.0, 1.7e308], [0.0, 0.0]])
+        s = np.array([[0.0, -1.7e308], [-1.7e308, 0.0]])
+        inst = BohrInstance(a, s, SequenceSpec.constant(np.eye(2, k=1)))
+        self.check_both_modes(inst, "the gap S - Re[(]A[)] is not finite")
+
+    def test_gap_near_the_float_limit_is_decided(self):
+        # the gap [[1e308, -5e307], [-5e307, 1e308]] is finite, and so is
+        # its Hermitian part when it is halved before adding
         a = np.array([[0.0, 1e308], [0.0, 0.0]])
         inst = BohrInstance(a, np.diag([1e308, 1e308]), SequenceSpec.constant(np.eye(2, k=1)))
-        self.check_both_modes(inst, "the gap S - Re[(]A[)] is not finite")
+        for check in (check_theorem_hypotheses, check_relaxed_hypotheses):
+            gap = check(inst).condition("gap_psd")
+            assert gap.passed
+            assert gap.slack == pytest.approx(5e307, rel=1e-12)
 
     def test_gap_eigenvalue_that_overflows(self):
         # the gap 8e307 J has the eigenvalue 2.4e308 = inf in float

@@ -138,6 +138,11 @@ class TestBasics:
     def test_re_part_imaginary_scalar(self):
         assert re_part(np.array([[1j]]))[0, 0] == 0.0
 
+    def test_re_part_of_huge_finite_entries_stays_finite(self):
+        # (a + a*) / 2 overflows to inf here; a/2 + a*/2 does not
+        a = np.diag([1.5e308, 0.0])
+        assert np.array_equal(re_part(a), a)
+
     def test_trace_pairing_is_entrywise_sum(self):
         rng = np.random.default_rng(1)
         a = random_complex(rng, 4)

@@ -19,6 +19,7 @@ from bohrlab.series import (
     bohr_sum,
     check_inequality,
     critical_radius,
+    leading_blocks,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -120,6 +121,70 @@ class TestAlphaExtraction:
         a = np.diag([-1e-13, 0.0])
         inst = BohrInstance(a, np.eye(2), SequenceSpec.finite([]))
         assert alpha_series(inst).alpha0 == 0.0
+
+
+def block(inst, k):
+    """The leading k x k block of a constant-sequence instance."""
+    m = inst.seq.matrices[0][:k, :k]
+    return BohrInstance(inst.A[:k, :k], inst.S[:k, :k], SequenceSpec.constant(m), inst.mode)
+
+
+class TestLeadingBlocks:
+    def test_integer_blocks_match_alpha_series_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        n = 12
+        a = np.triu(rng.integers(-4, 5, (n, n)) + 1j * rng.integers(-4, 5, (n, n)), 1)
+        a += np.diag(rng.integers(1, 4, n))
+        m = np.triu(rng.integers(-3, 4, (n, n)) + 1j * rng.integers(-3, 4, (n, n)), 1)
+        s = np.diag(rng.integers(1, 9, n)).astype(complex)
+        inst = BohrInstance(a, s, SequenceSpec.constant(m))
+        orders = []
+        for k, series, budget in leading_blocks(inst):
+            sub = block(inst, k)
+            assert series == alpha_series(sub)
+            assert budget == float(np.trace(sub.S).real)
+            orders.append(k)
+        assert orders == list(range(1, n + 1))
+
+    def test_float_blocks_match_alpha_series_to_rounding(self):
+        rng = np.random.default_rng(6)
+        n = 30
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        np.fill_diagonal(a, rng.random(n))
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        inst = BohrInstance(a, np.diag(rng.random(n) + 10.0), SequenceSpec.constant(m), "relaxed")
+        for k, series, budget in leading_blocks(inst):
+            ref = alpha_series(block(inst, k))
+            assert series.alpha0 == pytest.approx(ref.alpha0, rel=1e-13, abs=1e-13)
+            assert series.tail == pytest.approx(ref.tail, rel=1e-13, abs=1e-13)
+            assert budget == pytest.approx(float(np.trace(inst.S[:k, :k]).real), rel=1e-14)
+
+    def test_trace_checks_stop_at_the_first_bad_block(self):
+        shift = SequenceSpec.constant(np.eye(3, k=1))
+        cases = (([1.0, 1j, 0.0], NonrealTraceError), ([1.0, -2.0, 0.0], NegativeTraceError))
+        for diagonal, error in cases:
+            inst = BohrInstance(np.diag(diagonal), np.eye(3), shift)
+            assert leading_blocks(block(inst, 1))[0][1].alpha0 == 1.0
+            with pytest.raises(error):
+                leading_blocks(block(inst, 2))
+
+    def test_tiny_negative_trace_clamps_to_zero(self):
+        zero = SequenceSpec.constant(np.zeros((2, 2)))
+        inst = BohrInstance(np.diag([-1e-13, 0.0]), np.eye(2), zero)
+        assert [series.alpha0 for _, series, _ in leading_blocks(inst)] == [0.0, 0.0]
+
+    def test_names_an_overflowing_modulus(self):
+        shift = np.eye(2, k=1)
+        huge = complex(1.5e308, 1.5e308)
+        inst = BohrInstance(shift * huge, np.eye(2), SequenceSpec.constant(shift))
+        assert leading_blocks(block(inst, 1))[0][1].tail == 0.0
+        with pytest.raises(NonFiniteError, match=r"^\|alpha_1\| = \|Tr\(A A_1\*\)\| is not"):
+            leading_blocks(inst)
+
+    def test_needs_a_constant_sequence(self):
+        inst = BohrInstance(np.eye(2), np.eye(2), SequenceSpec.finite([np.eye(2, k=1)]))
+        with pytest.raises(ValueError, match="constant sequence"):
+            leading_blocks(inst)
 
 
 class TestBohrSum:

@@ -63,6 +63,14 @@ class TestGeneralFamily:
         assert at.holds and abs(at.slack) <= 1e-9
         assert not check_inequality(inst, r_star + 1e-6).holds
 
+    def test_is_the_leading_block_of_a_larger_order(self):
+        big = general_witness(64)
+        for n in range(2, 65):
+            inst = general_witness(n)
+            assert np.array_equal(inst.A, big.A[:n, :n])
+            assert np.array_equal(inst.S, big.S[:n, :n])
+            assert np.array_equal(inst.seq.matrices[0], big.seq.matrices[0][:n, :n])
+
     def test_rejects_bad_orders(self):
         for build in (general_witness, sine_witness):
             for bad in (1, 0, -3, 2.0, True):
