@@ -221,19 +221,18 @@ def _report_json(report) -> dict:
 
 
 def cmd_verify(args) -> int:
-    tol = args.tol if args.tol is not None else DEFAULT_TOL
     if not (0.0 <= args.r < 1.0):
         print(f"error: r must lie in [0, 1), got {args.r}", file=sys.stderr)
         return EXIT_INPUT
     inst = load_instance(args.input)
-    report = check_hypotheses(inst, tol=tol)
+    report = check_hypotheses(inst, tol=args.tol)
 
     series = None
     radius = None
     check = None
     if report.condition("nonnegative_trace_a").passed:
-        series = alpha_series(inst, tol=tol)
-        check = check_inequality(inst, args.r, tol=tol)
+        series = alpha_series(inst, tol=args.tol)
+        check = check_inequality(inst, args.r, tol=args.tol)
         try:
             radius = critical_radius(series, check.rhs)
         except BudgetBelowAlpha0Error:
@@ -302,9 +301,8 @@ def cmd_witness(args) -> int:
         extra = [f"theta: {_fmt(theta)}", f"k: {k}", f"violated at r: {_fmt(args.r_target)}"]
         params = {"theta": theta, "k": k, "violated_at": args.r_target}
 
-    tol = args.tol if args.tol is not None else DEFAULT_TOL
-    report = check_hypotheses(inst, tol=tol)
-    series = alpha_series(inst, tol=tol)
+    report = check_hypotheses(inst, tol=args.tol)
+    series = alpha_series(inst, tol=args.tol)
     radius = critical_radius(series, float(np.trace(inst.S).real))
 
     if args.output:
@@ -334,7 +332,6 @@ def cmd_radius_search(args) -> int:
         restarts=args.restarts,
         max_iters=args.max_iters,
         seed=args.seed,
-        simplex_tol=args.simplex_tol,
     )
     estimate = search(cfg)
     if args.output:
@@ -428,7 +425,6 @@ def _parse_coeffs(text: str) -> tuple[complex, ...]:
 
 
 def cmd_scalar(args) -> int:
-    tol = args.tol if args.tol is not None else 1e-9
     if not (0.0 <= args.r < 1.0):
         print(f"error: r must lie in [0, 1), got {args.r}", file=sys.stderr)
         return EXIT_INPUT
@@ -446,7 +442,7 @@ def cmd_scalar(args) -> int:
             tail = (args.tail[0], args.tail[1])
         series = CoeffSeries(_parse_coeffs(args.coeffs), tail)
 
-    result = classical_verify(series, args.r, gridpoints=args.gridpoints, tol=tol)
+    result = classical_verify(series, args.r, gridpoints=args.gridpoints, tol=args.tol)
     payload = {
         "r": args.r,
         "bohr_sum": result.lhs,
@@ -489,35 +485,32 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--tol", type=_tolerance, default=None, help="numeric tolerance override")
-    common.add_argument("--output", default=None, help="write the machine-readable result here")
-    common.add_argument(
-        "--format", choices=("text", "json", "csv"), default="text", help="stdout format"
-    )
-    common.add_argument("--seed", type=int, default=0, help="random seed (search)")
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="ignored; search restarts run in lockstep in one thread"
-        " (kept so old command lines work)",
-    )
-
     # the docstring's last paragraph is about the code, not for --help
     parser = _Parser(prog="bohrlab", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", parents=[common], help="check an instance file at a radius")
+    def command(name, summary, formats=("text", "json"), tol=None):
+        # every subcommand takes --output and --format; --tol only where
+        # the handler reads a tolerance
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--output", default=None, help="write the machine-readable result here")
+        p.add_argument("--format", choices=formats, default="text", help="stdout format")
+        if tol is not None:
+            p.add_argument(
+                "--tol", type=_tolerance, default=tol, help="numeric tolerance (default %(default)s)"
+            )
+        return p
+
+    p = command("verify", "check an instance file at a radius", tol=DEFAULT_TOL)
     p.add_argument("input", help="instance document (JSON)")
     p.add_argument("--r", type=float, required=True, help="evaluation radius in [0, 1)")
 
-    p = sub.add_parser("witness", parents=[common], help="build a canonical extremal instance")
+    p = command("witness", "build a canonical extremal instance", tol=DEFAULT_TOL)
     p.add_argument("--family", choices=("general-n", "sine", "n3", "remark-n2"), required=True)
     p.add_argument("--n", type=int, default=None, help="order for general-n and sine (n3 is sine at n=3)")
     p.add_argument("--r-target", type=float, default=None, help="violation radius for remark-n2")
 
-    p = sub.add_parser("radius-search", parents=[common], help="search for the extremal radius")
+    p = command("radius-search", "search for the extremal radius")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument(
@@ -526,18 +519,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=10000,
         help="ADMM steps per restart at most (the default lets orders n <= 16 converge)",
     )
-    p.add_argument(
-        "--simplex-tol",
-        type=float,
-        default=1e-9,
-        help="stop a restart when the plain ADMM step from its current point (without "
-        "Anderson mixing) would move M by less than this (Frobenius norm)",
-    )
+    p.add_argument("--seed", type=int, default=0, help="random seed of the restarts' starts")
 
-    p = sub.add_parser("table", parents=[common], help="tabulate n/(3n-2) against bisection")
+    p = command("table", "tabulate n/(3n-2) against bisection", formats=("text", "json", "csv"))
     p.add_argument("--max-n", type=int, required=True)
 
-    p = sub.add_parser("scalar", parents=[common], help="classical power-series check")
+    p = command("scalar", "classical power-series check", tol=1e-9)
     p.add_argument("--moebius", type=float, default=None, help="parameter a of (a-z)/(1-az)")
     p.add_argument("--coeffs", default=None, help="comma-separated coefficients")
     p.add_argument("--tail", nargs=2, type=float, default=None, metavar=("C", "RHO"))

@@ -22,9 +22,9 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
-    adjoint,
     as_complex_matrix,
     frobenius_norm,
+    hermitian_deviation,
     hermitian_eigenvalues,
     is_strictly_upper,
     is_upper,
@@ -34,7 +34,7 @@ from .linalg import (
     re_part,
     require_finite,
 )
-from .series import BohrInstance, Mode
+from .series import BohrInstance, Mode, trace_is_real
 
 THEOREM_CONDITIONS = (
     "upper_triangular_a",
@@ -100,9 +100,8 @@ def _trace_condition(a: np.ndarray, tol: float) -> ConditionReport:
     otherwise minus the imaginary deviation.
     """
     tr = complex(np.trace(a))
-    im_dev = abs(tr.imag)
-    if im_dev > tol * max(1.0, modulus(tr, "|Tr(A)|")):
-        return ConditionReport("nonnegative_trace_a", False, -im_dev)
+    if not trace_is_real(tr, tol):
+        return ConditionReport("nonnegative_trace_a", False, -abs(tr.imag))
     return ConditionReport("nonnegative_trace_a", bool(tr.real >= -tol), tr.real)
 
 
@@ -168,7 +167,7 @@ def check_relaxed_hypotheses(inst: BohrInstance, tol: float = DEFAULT_TOL) -> Hy
     mats = inst.seq.matrices
     conds = [_trace_condition(a, tol)]
 
-    herm_dev = max_abs(s - adjoint(s))
+    herm_dev = hermitian_deviation(s)
     conds.append(
         ConditionReport("hermitian_s", bool(herm_dev <= tol * max(1.0, max_abs(s))), -herm_dev)
     )

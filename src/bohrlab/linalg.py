@@ -107,15 +107,15 @@ def frobenius_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def _hermitian_deviation(a: np.ndarray) -> float:
-    # an inf entry gives inf - inf = nan, and a huge one may overflow:
-    # either deviation fails the check, so numpy need not warn about it
+def hermitian_deviation(a: np.ndarray) -> float:
+    """max |a - a*|.  An inf entry gives nan and a huge one may overflow:
+    a check written `not dev <= bound` fails both, so numpy need not warn."""
     with np.errstate(invalid="ignore", over="ignore"):
         return max_abs(a - a.conj().T)
 
 
 def _require_hermitian(a: np.ndarray, tol: float, name: str) -> None:
-    dev = _hermitian_deviation(a)
+    dev = hermitian_deviation(a)
     # written so that a nan deviation fails too
     if not dev <= tol * max(1.0, max_abs(a)):
         raise NotHermitianError(f"{name} deviates from Hermitian by {dev:.3e}")

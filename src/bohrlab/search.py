@@ -43,8 +43,8 @@ image F(u) it was mixed from, clears its differences and mixes again
 once two new ones are stored.  The value is the one every step scores,
 so the safeguard costs no evaluation, and a rejected step counts as a
 step and an evaluation like any other.  A restart stops once the plain
-step from its current point would move M by less than simplex_tol in
-Frobenius norm, or after max_iters steps.
+step from its current point would move M by less than _MIN_STEP = 1e-9
+in Frobenius norm, or after max_iters steps.
 
 Restarts run in lockstep: every live restart takes its step at once,
 with one batched eigh, two batched SVDs (the projection and the honest
@@ -68,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypotheses import check_theorem_hypotheses
-from .linalg import DEFAULT_TOL, as_complex_matrix, max_abs
+from .linalg import DEFAULT_TOL, as_complex_matrix, hermitian_deviation, max_abs
 from .series import BohrInstance
 
 
@@ -90,7 +90,6 @@ class SearchConfig:
     restarts: int = 32
     max_iters: int = 10000
     seed: int = 0
-    simplex_tol: float = 1e-9
 
     def __post_init__(self):
         if self.n < 2:
@@ -99,12 +98,13 @@ class SearchConfig:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not (math.isfinite(self.simplex_tol) and self.simplex_tol > 0.0):
-            raise ValueError(f"simplex_tol must be finite and > 0, got {self.simplex_tol}")
 
 
 # bound on the bytes one chunk of restarts stacks (see _restart_bytes)
 _STATE_BYTES = 8 << 20
+# a restart converges once the plain step would move M by less than
+# this in Frobenius norm
+_MIN_STEP = 1e-9
 # Anderson mixing: the differences kept per restart, the Tikhonov weight
 # relative to the trace of their Gram matrix (tiny keeps an all-zero
 # Gram matrix solvable), and the first step with two differences stored
@@ -121,7 +121,7 @@ class RestartRecord:
     """How one restart ended: its best value, the ADMM steps and
     objective evaluations it used (one per step, rejected Anderson steps
     included), and why it stopped: "converged" when the plain step from
-    its last point would move M by less than simplex_tol, else
+    its last point would move M by less than _MIN_STEP (1e-9), else
     "max_iters"."""
 
     best: float
@@ -203,7 +203,7 @@ def materialize(n: int, P, M, tol: float = DEFAULT_TOL) -> BohrInstance:
     M = as_complex_matrix(M, "M")
     if P.shape[0] != n or M.shape[0] != n:
         raise BadLengthError(f"P and M must be {n}x{n}")
-    if max_abs(P - P.conj().T) > tol * max(1.0, max_abs(P)):
+    if not hermitian_deviation(P) <= tol * max(1.0, max_abs(P)):
         raise NotPSDError("P must be Hermitian")
 
     inst = BohrInstance.from_gap(P, M, 0.0)
@@ -255,7 +255,6 @@ def _run_restart(cfg: SearchConfig, indices: range, eval_hook):
     ready = np.full(k, _FIRST_MIX)  # the first step at which each restart mixes
     G_last = R_last = last_value = last_rr = None  # F(u), r, value, |r|^2 of the step before
     lanes = np.arange(k)  # chunk position of each live restart
-    tol2 = cfg.simplex_tol * cfg.simplex_tol
     out: list = [None] * k
 
     for it in range(1, cfg.max_iters + 1):
@@ -285,7 +284,7 @@ def _run_restart(cfg: SearchConfig, indices: range, eval_hook):
         np.subtract(G, U, out=R)
         step = R[:, : 2 * n * n]  # how far the plain step moves M
 
-        converged = _dots(step, step) < tol2
+        converged = _dots(step, step) < _MIN_STEP * _MIN_STEP
         stopped = converged if it < cfg.max_iters else np.ones_like(converged)
         done = stopped.nonzero()[0]
         if done.size:

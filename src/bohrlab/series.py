@@ -158,13 +158,19 @@ class BohrInstance:
         return self.A.shape[0]
 
 
+def trace_is_real(tr: complex, tol: float) -> bool:
+    """Whether Tr(A) = tr is real within tol relative to max(1, |tr|); a
+    nan imaginary part, from terms that overflowed with both signs, is not."""
+    return abs(tr.imag) <= tol * max(1.0, modulus(tr, "|Tr(A)|"))
+
+
 def _alpha0(tr: complex, tol: float) -> float:
     """alpha_0 = Re Tr(A) from Tr(A), clamped at 0 within tolerance.
 
     Raises NonrealTraceError or NegativeTraceError when Tr(A) is not
     real, or its real part not nonnegative, within tol.
     """
-    if abs(tr.imag) > tol * max(1.0, modulus(tr, "|Tr(A)|")):
+    if not trace_is_real(tr, tol):
         raise NonrealTraceError(f"Tr(A) = {tr} has a nonreal part beyond tolerance")
     if tr.real < -tol:
         raise NegativeTraceError(f"Re Tr(A) = {tr.real} is negative")

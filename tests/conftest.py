@@ -1,4 +1,4 @@
-"""Shared acceptance-report plumbing.
+"""Shared acceptance-report plumbing and shared instances.
 
 The acceptance tests time themselves and register one verdict line
 each; the terminal-summary hook replays those lines after pytest's
@@ -7,7 +7,10 @@ capture has ended, so they show up in any run mode.
 
 import time
 
+import numpy as np
 import pytest
+
+from bohrlab.series import BohrInstance, SequenceSpec
 
 _VERDICT_LINES = []
 
@@ -43,6 +46,23 @@ class CriterionTimer:
 @pytest.fixture
 def criterion():
     return CriterionTimer
+
+
+@pytest.fixture
+def nan_trace_instance():
+    """Order 16, diagonal A with Tr(A) = 5+1j exactly, S = 2I and the shift.
+
+    Two +1.7e308j and two -1.7e308j entries meet in numpy's pairwise sum
+    as inf - inf, so the computed trace is 5+nanj.
+    """
+    d = np.zeros(16, dtype=complex)
+    d[[0, 8]] = 1 + 1.7e308j
+    d[[1, 9]] = 1 - 1.7e308j
+    d[2] = 1 + 1j
+    a = np.diag(d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(np.trace(a).imag)
+    return BohrInstance(a, 2.0 * np.eye(16), SequenceSpec.constant(np.eye(16, k=1)))
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -1,5 +1,6 @@
 """Command-line interface: documents, exit codes, output formats."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -475,6 +476,14 @@ class TestVerifyCommand:
             assert_one_error_line(code, out, err)
             assert err == f"error: {quantity} {OVERFLOW_TAIL}\n"
 
+    def test_trace_whose_imaginary_sum_is_nan_is_an_error(self, tmp_path, capsys, nan_trace_instance):
+        # the imaginary parts sum to nan, which is no real trace
+        path = write_instance(tmp_path, nan_trace_instance)
+        for fmt in ("text", "json"):
+            code, out, err = run_strict(["verify", path, "--r", "0.3", "--format", fmt], capsys)
+            assert_one_error_line(code, out, err)
+            assert err == f"error: the nonnegative_trace_a slack {OVERFLOW_TAIL}\n"
+
     def test_scaled_overflow_document_is_decided(self, tmp_path, capsys):
         # the same shape at 1e8 is violated at 0.9, with radius 2/3
         path = write_instance(tmp_path, overflow_instance(1e8))
@@ -605,7 +614,6 @@ class TestRadiusSearchCommand:
         "--restarts", "4",
         "--max-iters", "300",
         "--seed", "3",
-        "--threads", "1",
     ]
 
     def test_json_payload(self, capsys):
@@ -642,13 +650,6 @@ class TestRadiusSearchCommand:
         second = capsys.readouterr().out
         assert first == second
         assert "r_star:" in first
-
-    def test_thread_count_does_not_change_result(self, capsys):
-        main(self.ARGS + ["--format", "json"])
-        serial = json.loads(capsys.readouterr().out)
-        main(self.ARGS[:-2] + ["--threads", "4", "--format", "json"])
-        pooled = json.loads(capsys.readouterr().out)
-        assert serial["per_restart_best"] == pooled["per_restart_best"]
 
     def test_default_cap_lets_order_twelve_converge(self, capsys):
         code = main(["radius-search", "--n", "12", "--restarts", "2", "--format", "json"])
@@ -795,6 +796,16 @@ class TestScalarCommand:
             assert err == f"error: {quantity} {OVERFLOW_TAIL}\n"
 
 
+# a valid command line of each subcommand
+VALID = {
+    "verify": ["verify", "instance.json", "--r", "0.3"],
+    "witness": ["witness", "--family", "n3"],
+    "radius-search": ["radius-search", "--n", "2", "--restarts", "1"],
+    "table": ["table", "--max-n", "3"],
+    "scalar": ["scalar", "--moebius", "0.5", "--r", "0.3"],
+}
+
+
 class TestArgumentErrors:
     def test_usage_errors_exit_one(self, capsys):
         for argv in ([], ["verify"], ["nonsense"], ["radius-search"]):
@@ -816,13 +827,41 @@ class TestArgumentErrors:
             assert exc.value.code == EXIT_INPUT
             assert "--tol" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-9"])
-    def test_simplex_tolerance_must_be_finite_and_positive(self, capsys, tol):
-        argv = ["radius-search", "--n", "2", "--restarts", "2", f"--simplex-tol={tol}"]
-        assert main(argv) == EXIT_INPUT
+    @pytest.mark.parametrize(
+        "command, option",
+        [(command, ["--threads", "1"]) for command in VALID]
+        + [(command, ["--seed", "0"]) for command in ("verify", "witness", "table", "scalar")]
+        + [(command, ["--tol", "0"]) for command in ("radius-search", "table")]
+        + [(command, ["--format", "csv"]) for command in ("verify", "witness", "radius-search", "scalar")]
+        + [("radius-search", ["--simplex-tol", "1e-9"])],
+    )
+    def test_removed_option_is_a_usage_error(self, capsys, command, option):
+        with pytest.raises(SystemExit) as exc:
+            main(VALID[command] + option)
         captured = capsys.readouterr()
-        assert "simplex_tol" in captured.err
+        assert exc.value.code == EXIT_INPUT
         assert captured.out == ""
+        # argparse's usage error: a usage line, then one error line naming the option
+        assert captured.err.startswith("usage: bohrlab")
+        last = captured.err.splitlines()[-1]
+        assert ": error: " in last and option[0] in last
+        assert "Traceback" not in captured.err
+
+    def test_each_subcommand_takes_only_the_options_it_reads(self):
+        sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        shared = {"-h", "--help", "--output", "--format"}
+        expected = {
+            "verify": shared | {"--tol", "--r"},
+            "witness": shared | {"--tol", "--family", "--n", "--r-target"},
+            "radius-search": shared | {"--n", "--restarts", "--max-iters", "--seed"},
+            "table": shared | {"--max-n"},
+            "scalar": shared | {"--tol", "--moebius", "--coeffs", "--tail", "--r", "--gridpoints"},
+        }
+        options = {name: p._option_string_actions for name, p in sub.choices.items()}
+        assert {name: set(opts) for name, opts in options.items()} == expected
+        for name, opts in options.items():
+            formats = ("text", "json", "csv") if name == "table" else ("text", "json")
+            assert tuple(opts["--format"].choices) == formats
 
     def test_zero_tolerance_is_the_strict_setting(self, tmp_path, capsys):
         path = write_instance(tmp_path, general_witness(3))

@@ -259,6 +259,10 @@ class TestNonFinite:
         inst = BohrInstance(a, a, SequenceSpec.constant(np.eye(2, k=1)))
         self.check_both_modes(inst, "nonnegative_trace_a slack")
 
+    def test_trace_whose_imaginary_sum_is_nan_fails(self, nan_trace_instance):
+        # the exact trace 5+1j is not real; a nan deviation must not pass
+        self.check_both_modes(nan_trace_instance, "nonnegative_trace_a slack")
+
     def test_sequence_norm_that_overflows(self):
         m = np.full((2, 2), 1e308)
         inst = BohrInstance(np.eye(2), 2.0 * np.eye(2), SequenceSpec.constant(m))

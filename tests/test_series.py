@@ -111,6 +111,10 @@ class TestAlphaExtraction:
         with pytest.raises(NonrealTraceError):
             alpha_series(inst)
 
+    def test_trace_whose_imaginary_sum_is_nan_raises(self, nan_trace_instance):
+        with pytest.raises(NonrealTraceError, match="nan"):
+            alpha_series(nan_trace_instance)
+
     def test_negative_trace_raises(self):
         a = -np.eye(2)
         inst = BohrInstance(a, np.eye(2), SequenceSpec.finite([]))
