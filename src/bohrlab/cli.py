@@ -34,6 +34,7 @@ from .series import (
     SequenceSpec,
     alpha_series,
     check_inequality,
+    critical_radii,
     critical_radius,
     leading_blocks,
 )
@@ -374,13 +375,13 @@ def cmd_radius_search(args) -> int:
 
 def _table_rows(max_n: int) -> list[tuple[int, float, float, float]]:
     # the order-n staircase is the leading n x n block of the order-max_n
-    # one, so a single build serves every row
+    # one, so a single build and one lockstep bisection serve every row
+    alpha0, tail, budget = leading_blocks(general_witness(max_n))
+    radii = critical_radii(alpha0[1:], tail[1:], budget[1:])
     rows = []
-    for n, series, budget in leading_blocks(general_witness(max_n)):
-        if n >= 2:
-            bisected = critical_radius(series, budget)
-            formula = n / (3.0 * n - 2.0)
-            rows.append((n, formula, bisected, abs(formula - bisected)))
+    for n, bisected in enumerate(radii.tolist(), start=2):
+        formula = n / (3.0 * n - 2.0)
+        rows.append((n, formula, bisected, abs(formula - bisected)))
     return rows
 
 
@@ -552,6 +553,10 @@ def main(argv=None) -> int:
     # stays a backstop for a float conversion that no check names
     except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    # an order too large to allocate is an input error, not a crash
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -21,6 +21,9 @@ Mode = Literal["theorem", "relaxed"]
 
 _BISECT_UPPER = 1.0 - 1e-12
 _BISECT_MAX_ITERS = 200
+_BISECT_TOL = 1e-12
+# leading_blocks' screen: a float pair below this has a finite modulus
+_SCREEN_BOUND = 1e300
 
 
 class NonrealTraceError(ValueError):
@@ -161,6 +164,9 @@ class BohrInstance:
 def trace_is_real(tr: complex, tol: float) -> bool:
     """Whether Tr(A) = tr is real within tol relative to max(1, |tr|); a
     nan imaginary part, from terms that overflowed with both signs, is not."""
+    # leading_blocks' vectorized screen passes a block without running
+    # this, _alpha0, modulus or AlphaSeries's checks: it must stay stricter
+    # than all of them
     return abs(tr.imag) <= tol * max(1.0, modulus(tr, "|Tr(A)|"))
 
 
@@ -196,34 +202,52 @@ def alpha_series(inst: BohrInstance, tol: float = DEFAULT_TOL) -> AlphaSeries:
     return AlphaSeries(alpha0, mags, 0.0)
 
 
-def leading_blocks(inst: BohrInstance) -> list[tuple[int, AlphaSeries, float]]:
-    """(k, alpha series, budget Re Tr(S)) of the leading k x k block of
-    a constant-sequence instance, for k = 1, ..., n.
+def leading_blocks(inst: BohrInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """alpha_0, tail and budget Re Tr(S) of the leading k x k blocks of a
+    constant-sequence instance, as three float arrays indexed by k - 1.
 
     Block k is block k-1 plus row and column k, so Tr(A), Tr(S) and the
     pairing Tr(A M*) grow by one border each: the walk reads every entry
     once, O(n^2) in all, where alpha_series on each block would read
-    O(n^3).  The sums run in another order than alpha_series's and agree
-    with it to rounding; bit for bit wherever every partial sum is an
-    exact float, as for integer entries.  The checks and errors are
-    alpha_series's, at the default tolerance, raised for the first block
-    that fails them; no numpy warning needs silencing, since Python
-    float arithmetic and np.vdot overflow to inf without one.
+    O(n^3).  Each border is one np.vdot, written into an interleaved
+    (row, column) array whose one cumsum adds them in walk order; the
+    sums run in another order than alpha_series's and agree with it to
+    rounding, bit for bit wherever every partial sum is an exact float,
+    as for integer entries.  The checks and errors are alpha_series's,
+    at the default tolerance, raised for the first block that fails
+    them: a vectorized screen flags every block that might fail, and
+    the scalar checks re-run in block order on the flagged ones.
     """
     if inst.seq.kind != "constant":
         raise ValueError("leading blocks need a constant sequence")
     a, s, m = inst.A, inst.S, inst.seq.matrices[0]
-    tr, budget, pairing = 0j, 0.0, 0j
-    blocks = []
-    for k in range(inst.order):
-        tr += complex(a[k, k])
-        budget += float(s[k, k].real)
-        # row k up to the diagonal, then column k above it
-        pairing += trace_pairing(a[k, : k + 1], m[k, : k + 1])
-        pairing += trace_pairing(a[:k, k], m[:k, k])
-        tail = modulus(pairing, "|alpha_1| = |Tr(A A_1*)|")
-        blocks.append((k + 1, AlphaSeries(_alpha0(tr, DEFAULT_TOL), (), tail), budget))
-    return blocks
+    n = inst.order
+    borders = np.empty(2 * n, dtype=np.complex128)
+    for k in range(n):
+        # row k up to the diagonal, then column k above it: Tr(A M*) terms
+        borders[2 * k] = np.vdot(m[k, : k + 1], a[k, : k + 1])
+        borders[2 * k + 1] = np.vdot(m[:k, k], a[:k, k])
+    with np.errstate(over="ignore", invalid="ignore"):
+        # + 0.0 turns a -0.0 partial sum into the 0.0 that a sum from 0 gives
+        tr = np.cumsum(a.diagonal()) + 0.0
+        budget = np.cumsum(s.diagonal().real) + 0.0
+        pairing = np.cumsum(borders)[1::2]
+        # a block passes only if it passes the scalar checks: finite
+        # moduli with room to spare, a real and nonnegative trace
+        screen = (
+            (np.abs(tr.real) < _SCREEN_BOUND)
+            & (np.abs(tr.imag) <= DEFAULT_TOL * np.maximum(1.0, np.abs(tr.real)))
+            & (tr.real >= -DEFAULT_TOL)
+            & (np.abs(pairing.real) < _SCREEN_BOUND)
+            & (np.abs(pairing.imag) < _SCREEN_BOUND)
+        )
+    for k in np.flatnonzero(~screen).tolist():
+        tail = modulus(complex(pairing[k]), "|alpha_1| = |Tr(A A_1*)|")
+        AlphaSeries(_alpha0(complex(tr[k]), DEFAULT_TOL), (), tail)
+    # Python's abs, as alpha_series takes it: numpy's complex abs may
+    # round differently
+    tail = np.fromiter(map(abs, pairing.tolist()), np.float64, n)
+    return np.maximum(tr.real, 0.0), tail, budget
 
 
 def bohr_sum(series: AlphaSeries, r: float) -> float:
@@ -243,7 +267,7 @@ def bohr_sum(series: AlphaSeries, r: float) -> float:
     return float(total)
 
 
-def critical_radius(series: AlphaSeries, budget: float, tol: float = 1e-12) -> float:
+def critical_radius(series: AlphaSeries, budget: float, tol: float = _BISECT_TOL) -> float:
     """sup{ r in [0,1) : bohr_sum(series, r) <= budget }, by bisection.
 
     Returns 1.0 when the sum never exceeds the budget on [0, 1).  The
@@ -268,6 +292,43 @@ def critical_radius(series: AlphaSeries, budget: float, tol: float = 1e-12) -> f
         else:
             hi = mid
         iters += 1
+    return 0.5 * (lo + hi)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def critical_radii(alpha0: np.ndarray, tail: np.ndarray, budget: np.ndarray) -> np.ndarray:
+    """critical_radius of stacked constant-tail series, one per row.
+
+    Row i is the series alpha0[i], tail[i], tail[i], ... (ratio 1, tail
+    from m = 1) against budget[i]; the arrays hold checked values, as
+    leading_blocks returns them.  Every row is bisected in lockstep with
+    the IEEE operations of critical_radius and bohr_sum at its default
+    tolerance, so each radius is bit for bit critical_radius of that row
+    alone, 1.0 where the sum never exceeds the budget on [0, 1).
+    Raises BudgetBelowAlpha0Error for the first row whose budget is
+    below its alpha0.  One series is faster through critical_radius: a
+    numpy step costs more than a Python one on a single row.
+    """
+    below = budget < alpha0
+    if below.any():
+        i = int(np.argmax(below))
+        raise BudgetBelowAlpha0Error(
+            f"budget {float(budget[i])} is below alpha0 {float(alpha0[i])}; the sum fails at r = 0"
+        )
+    lo = np.zeros(alpha0.shape)
+    hi = np.full(alpha0.shape, _BISECT_UPPER)
+    fits = alpha0 + tail * hi / (1.0 - hi) <= budget
+    lo[fits] = hi[fits] = 1.0
+    live = np.flatnonzero(~fits)
+    for _ in range(_BISECT_MAX_ITERS):
+        live = live[hi[live] - lo[live] > _BISECT_TOL]
+        if not live.size:
+            break
+        left, right = lo[live], hi[live]
+        mid = 0.5 * (left + right)
+        inside = alpha0[live] + tail[live] * mid / (1.0 - mid) <= budget[live]
+        lo[live] = np.where(inside, mid, left)
+        hi[live] = np.where(inside, right, mid)
     return 0.5 * (lo + hi)
 
 

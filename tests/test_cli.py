@@ -889,6 +889,31 @@ class TestArgumentErrors:
             assert main(argv) == EXIT_INPUT
             assert "--r-target" in capsys.readouterr().err
 
+    def test_an_order_too_large_to_allocate_exits_one(self, capsys, monkeypatch):
+        # raised by stand-ins: a real huge allocation may succeed lazily
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 14.9 TiB for an array")
+
+        monkeypatch.setattr(cli, "general_witness", refuse)
+        monkeypatch.setattr(cli, "search", refuse)
+        for argv in (
+            ["table", "--max-n", "1000000"],
+            ["witness", "--family", "general-n", "--n", "200000"],
+            ["radius-search", "--n", "100000"],
+        ):
+            assert main(argv) == EXIT_INPUT
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: Unable to allocate 14.9 TiB for an array\n"
+
+    def test_a_bare_memory_error_is_named(self, capsys, monkeypatch):
+        def refuse(n):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "general_witness", refuse)
+        assert main(["table", "--max-n", "5"]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: out of memory\n"
+
     def test_tail_flag_rejected_with_moebius(self, capsys):
         argv = ["scalar", "--moebius", "0.5", "--tail", "1", "0.5", "--r", "0.2"]
         assert main(argv) == EXIT_INPUT

@@ -18,6 +18,7 @@ from bohrlab.series import (
     alpha_series,
     bohr_sum,
     check_inequality,
+    critical_radii,
     critical_radius,
     leading_blocks,
 )
@@ -142,13 +143,12 @@ class TestLeadingBlocks:
         m = np.triu(rng.integers(-3, 4, (n, n)) + 1j * rng.integers(-3, 4, (n, n)), 1)
         s = np.diag(rng.integers(1, 9, n)).astype(complex)
         inst = BohrInstance(a, s, SequenceSpec.constant(m))
-        orders = []
-        for k, series, budget in leading_blocks(inst):
+        alpha0, tail, budget = (x.tolist() for x in leading_blocks(inst))
+        assert len(alpha0) == len(tail) == len(budget) == n
+        for k in range(1, n + 1):
             sub = block(inst, k)
-            assert series == alpha_series(sub)
-            assert budget == float(np.trace(sub.S).real)
-            orders.append(k)
-        assert orders == list(range(1, n + 1))
+            assert AlphaSeries(alpha0[k - 1], (), tail[k - 1]) == alpha_series(sub)
+            assert budget[k - 1] == float(np.trace(sub.S).real)
 
     def test_float_blocks_match_alpha_series_to_rounding(self):
         rng = np.random.default_rng(6)
@@ -157,33 +157,69 @@ class TestLeadingBlocks:
         np.fill_diagonal(a, rng.random(n))
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         inst = BohrInstance(a, np.diag(rng.random(n) + 10.0), SequenceSpec.constant(m), "relaxed")
-        for k, series, budget in leading_blocks(inst):
+        alpha0, tail, budget = leading_blocks(inst)
+        for k in range(1, n + 1):
             ref = alpha_series(block(inst, k))
-            assert series.alpha0 == pytest.approx(ref.alpha0, rel=1e-13, abs=1e-13)
-            assert series.tail == pytest.approx(ref.tail, rel=1e-13, abs=1e-13)
-            assert budget == pytest.approx(float(np.trace(inst.S[:k, :k]).real), rel=1e-14)
+            assert alpha0[k - 1] == pytest.approx(ref.alpha0, rel=1e-13, abs=1e-13)
+            assert tail[k - 1] == pytest.approx(ref.tail, rel=1e-13, abs=1e-13)
+            assert budget[k - 1] == pytest.approx(float(np.trace(inst.S[:k, :k]).real), rel=1e-14)
 
     def test_trace_checks_stop_at_the_first_bad_block(self):
         shift = SequenceSpec.constant(np.eye(3, k=1))
         cases = (([1.0, 1j, 0.0], NonrealTraceError), ([1.0, -2.0, 0.0], NegativeTraceError))
         for diagonal, error in cases:
             inst = BohrInstance(np.diag(diagonal), np.eye(3), shift)
-            assert leading_blocks(block(inst, 1))[0][1].alpha0 == 1.0
+            assert leading_blocks(block(inst, 1))[0].tolist() == [1.0]
             with pytest.raises(error):
                 leading_blocks(block(inst, 2))
 
     def test_tiny_negative_trace_clamps_to_zero(self):
         zero = SequenceSpec.constant(np.zeros((2, 2)))
         inst = BohrInstance(np.diag([-1e-13, 0.0]), np.eye(2), zero)
-        assert [series.alpha0 for _, series, _ in leading_blocks(inst)] == [0.0, 0.0]
+        assert leading_blocks(inst)[0].tolist() == [0.0, 0.0]
 
     def test_names_an_overflowing_modulus(self):
         shift = np.eye(2, k=1)
         huge = complex(1.5e308, 1.5e308)
         inst = BohrInstance(shift * huge, np.eye(2), SequenceSpec.constant(shift))
-        assert leading_blocks(block(inst, 1))[0][1].tail == 0.0
+        assert leading_blocks(block(inst, 1))[1].tolist() == [0.0]
         with pytest.raises(NonFiniteError, match=r"^\|alpha_1\| = \|Tr\(A A_1\*\)\| is not"):
             leading_blocks(inst)
+
+    def test_first_bad_block_decides_the_error(self):
+        # block 1 overflows its tail; block 2 cancels that pairing and has
+        # a nonreal trace, so only block order decides which error is due
+        huge = complex(1.5e308, 1.5e308)
+        a = np.array([[1.0, 1.0], [0.0, 1j]])
+        m = np.array([[huge, -huge], [0.0, 0.0]])
+        inst = BohrInstance(a, np.eye(2), SequenceSpec.constant(m))
+        with pytest.raises(NonrealTraceError):
+            alpha_series(block(inst, 2))
+        with pytest.raises(NonFiniteError, match=r"^\|alpha_1\| = \|Tr\(A A_1\*\)\| is not"):
+            leading_blocks(inst)
+
+    def test_sums_start_from_positive_zero(self):
+        # as a sum from 0 does: no -0.0 reaches a budget or an error message
+        zero = SequenceSpec.constant(np.zeros((1, 1)))
+        inst = BohrInstance(np.zeros((1, 1)), np.full((1, 1), -0.0), zero)
+        assert leading_blocks(inst)[2][0].hex() == "0x0.0p+0"
+        inst = BohrInstance(np.full((1, 1), complex(-0.0, 1.0)), np.eye(1), zero)
+        with pytest.raises(NonrealTraceError, match=r"^Tr\(A\) = 1j has"):
+            leading_blocks(inst)
+
+    def test_overflowing_sums_raise_alpha_series_errors(self):
+        # a trace whose sum overflows, and pairings whose real or
+        # imaginary part does
+        zero = SequenceSpec.constant(np.zeros((2, 2)))
+        cases = [(BohrInstance(np.diag([1e308, 1e308]), np.eye(2), zero), "alpha0 must be finite, got inf")]
+        for part in (1.0, 1j):
+            m = np.array([[1.0, 1.0], [0.0, 0.0]]) * 1e308 * part
+            cases.append((BohrInstance(np.ones((2, 2)), np.eye(2), SequenceSpec.constant(m)), "tail must be finite"))
+        for inst, message in cases:
+            with pytest.raises(ValueError, match=message):
+                alpha_series(inst)
+            with pytest.raises(ValueError, match=message):
+                leading_blocks(inst)
 
     def test_needs_a_constant_sequence(self):
         inst = BohrInstance(np.eye(2), np.eye(2), SequenceSpec.finite([np.eye(2, k=1)]))
@@ -292,6 +328,79 @@ class TestCriticalRadius:
         r1 = critical_radius(series, 5.0)
         r2 = critical_radius(scaled, 35.0)
         assert abs(r1 - r2) <= 1e-11
+
+
+def one_row(alpha0, tail, budget):
+    """The scalar route: critical_radius of one constant-tail series."""
+    return critical_radius(AlphaSeries(float(alpha0), (), float(tail)), float(budget))
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+class TestCriticalRadii:
+    """The lockstep solver against critical_radius, row by row."""
+
+    @staticmethod
+    def rows(rng, count):
+        alpha0 = rng.uniform(0.0, 5.0, count)
+        tail = rng.uniform(0.0, 3.0, count)
+        return alpha0, tail, alpha0 + rng.uniform(0.0, 4.0, count)
+
+    @staticmethod
+    def special_rows():
+        rows = [
+            (2.0, 0.0, 3.0),  # tail 0: fits on [0, 1)
+            (0.0, 0.0, 0.0),
+            (2.0, 1.0, 2.0),  # budget equal to alpha0
+            (1e-300, 1e-300, 2e-300),  # tiny magnitudes
+            (1e-300, 3e-301, 1e-300),
+            (1e300, 1e300, 3e300),  # huge ones: the sum overflows near r = 1
+            (1.0, 1e300, 2.0),
+            (1e-300, 1e300, 1e300),
+        ]
+        rows += [(float(n), 2.0 * (n - 1), 2.0 * n) for n in (2, 3, 10, 1000)]
+        return tuple(np.array(col) for col in zip(*rows))
+
+    def test_rows_match_critical_radius_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        for alpha0, tail, budget in (self.rows(rng, 300), self.special_rows()):
+            expected = [one_row(*row) for row in zip(alpha0, tail, budget)]
+            assert bits(critical_radii(alpha0, tail, budget)) == bits(expected)
+
+    def test_budgets_on_the_bisection_path(self):
+        # a budget equal to the sum at the first upper end or midpoint
+        # decides that comparison by equality, so any other rounding of
+        # the sum sends the row another way
+        rng = np.random.default_rng(25)
+        alpha0, tail, _ = self.rows(rng, 200)
+        first_mid = 0.5 * (0.0 + (1.0 - 1e-12))
+        for r in (1.0 - 1e-12, first_mid):
+            budget = np.array([bohr_sum(AlphaSeries(a, (), t), r) for a, t in zip(alpha0.tolist(), tail.tolist())])
+            expected = [one_row(*row) for row in zip(alpha0, tail, budget)]
+            assert bits(critical_radii(alpha0, tail, budget)) == bits(expected)
+
+    def test_fitting_row_is_one(self):
+        radii = critical_radii(np.array([2.0, 2.0]), np.array([0.0, 1.0]), np.array([3.0, 3.0]))
+        assert radii[0] == 1.0
+        assert radii[1] < 1.0
+
+    def test_row_does_not_depend_on_its_neighbours(self):
+        rng = np.random.default_rng(23)
+        alpha0, tail, budget = self.rows(rng, 50)
+        alone = critical_radii(alpha0[17:18], tail[17:18], budget[17:18])
+        assert bits(alone) == bits(critical_radii(alpha0, tail, budget)[17:18])
+
+    def test_budget_below_alpha0(self):
+        rng = np.random.default_rng(24)
+        alpha0, tail, budget = self.rows(rng, 20)
+        budget[[7, 12]] = alpha0[[7, 12]] - 0.5
+        with pytest.raises(BudgetBelowAlpha0Error, match=f"budget {float(budget[7])} is below"):
+            critical_radii(alpha0, tail, budget)
+
+    def test_no_rows(self):
+        assert critical_radii(np.empty(0), np.empty(0), np.empty(0)).shape == (0,)
 
 
 class TestInstanceChecks:
