@@ -11,11 +11,13 @@ Failures are reported, never raised: each condition carries a signed
 slack (positive = margin, negative = violation magnitude) so callers can
 rank or penalize near-misses.  A slack or gap eigenvalue that overflows
 float arithmetic is no verdict: it raises NonFiniteError instead, and
-the checks silence numpy's overflow warnings for that reason.
+the checks silence numpy's overflow warnings for that reason.  A trace
+orthogonality whose bound overflows fails its condition.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +35,7 @@ from .linalg import (
     operator_norm,
     re_part,
     require_finite,
+    within_tol,
 )
 from .series import BohrInstance, Mode, trace_is_real
 
@@ -93,6 +96,19 @@ def _product_trace(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.einsum("ij,ji->", a, b))
 
 
+def _trace_orthogonal(x: np.ndarray, a: np.ndarray, tol: float, what: str) -> tuple[float, bool]:
+    """|Tr(x a)| and whether it vanishes: within_tol with the
+    Cauchy-Schwarz bound ||x||_F ||a||_F on |Tr(x a)| as scale.
+
+    A scale that overflows, from a Frobenius norm beyond the float range
+    or the product of two, decides nothing, so the test fails; a modulus
+    that overflows raises NonFiniteError naming `what`.
+    """
+    t = modulus(_product_trace(x, a), f"|{what}|")
+    scale = frobenius_norm(x) * frobenius_norm(a)
+    return t, math.isfinite(scale) and within_tol(t, scale, tol)
+
+
 def _trace_condition(a: np.ndarray, tol: float) -> ConditionReport:
     """Tr(A) real within tolerance and Re Tr(A) >= -tol.
 
@@ -140,21 +156,17 @@ def check_theorem_hypotheses(inst: BohrInstance, tol: float = DEFAULT_TOL) -> Hy
     conds = []
 
     low_dev = max_abs(np.tril(a, -1))
-    conds.append(
-        ConditionReport("upper_triangular_a", bool(low_dev <= tol * max(1.0, max_abs(a))), -low_dev)
-    )
+    conds.append(ConditionReport("upper_triangular_a", within_tol(low_dev, max_abs(a), tol), -low_dev))
     conds.append(_trace_condition(a, tol))
 
     diag_s = np.diagonal(s)
     s_dev = max(max_abs(s - np.diag(diag_s)), max_abs(np.imag(diag_s)))
-    conds.append(
-        ConditionReport("real_diagonal_s", bool(s_dev <= tol * max(1.0, max_abs(s))), -s_dev)
-    )
+    conds.append(ConditionReport("real_diagonal_s", within_tol(s_dev, max_abs(s), tol), -s_dev))
     conds.append(_gap_psd_condition(a, s, tol))
 
     low = [max_abs(np.tril(m)) for m in mats]
     up_dev = max(low, default=0.0)
-    up_ok = all(dev <= tol * max(1.0, max_abs(m)) for dev, m in zip(low, mats))
+    up_ok = all(within_tol(dev, max_abs(m), tol) for dev, m in zip(low, mats))
     conds.append(ConditionReport("strictly_upper_sequence", bool(up_ok), -up_dev))
     conds.append(_sequence_norm_condition(mats, tol))
     return HypothesisReport("theorem", tuple(conds))
@@ -168,19 +180,17 @@ def check_relaxed_hypotheses(inst: BohrInstance, tol: float = DEFAULT_TOL) -> Hy
     conds = [_trace_condition(a, tol)]
 
     herm_dev = hermitian_deviation(s)
-    conds.append(
-        ConditionReport("hermitian_s", bool(herm_dev <= tol * max(1.0, max_abs(s))), -herm_dev)
-    )
+    conds.append(ConditionReport("hermitian_s", within_tol(herm_dev, max_abs(s), tol), -herm_dev))
     conds.append(_gap_psd_condition(a, s, tol))
 
     for name, left, what in (("orthogonal_to_s", s, "S"), ("orthogonal_to_a", a, "A")):
         dev = 0.0
         ok = True
         for i, m in enumerate(mats, 1):
-            t = modulus(_product_trace(left, m), f"|Tr({what} A_{i})|")
+            t, orthogonal = _trace_orthogonal(left, m, tol, f"Tr({what} A_{i})")
             dev = max(dev, t)
-            ok = ok and t <= tol * max(1.0, frobenius_norm(left) * frobenius_norm(m))
-        conds.append(ConditionReport(name, bool(ok), -dev))
+            ok = ok and orthogonal
+        conds.append(ConditionReport(name, ok, -dev))
 
     conds.append(_sequence_norm_condition(mats, tol))
     return HypothesisReport("relaxed", tuple(conds))
@@ -193,20 +203,20 @@ def check_hypotheses(inst: BohrInstance, tol: float = DEFAULT_TOL) -> Hypothesis
     return check_relaxed_hypotheses(inst, tol=tol)
 
 
-def orthogonality_check(x, a, tol: float = DEFAULT_TOL) -> bool:
+def orthogonality_check(x, a) -> bool:
     """Whether Tr(x a) vanishes for upper x and strictly upper a.
 
     The product of an upper and a strictly upper triangular matrix is
-    strictly upper, so a true result is guaranteed for valid inputs;
+    strictly upper, so a true result is guaranteed for valid inputs
+    whose Frobenius norms and their product stay in the float range;
     exposing the test keeps that fact independently checkable.
     """
     x = as_complex_matrix(x, "x")
     a = as_complex_matrix(a, "a")
     if x.shape != a.shape:
         raise PreconditionViolatedError("x and a must have the same order")
-    if not is_upper(x, tol=tol):
+    if not is_upper(x):
         raise PreconditionViolatedError("x must be upper triangular")
-    if not is_strictly_upper(a, tol=tol):
+    if not is_strictly_upper(a):
         raise PreconditionViolatedError("a must be strictly upper triangular")
-    t = modulus(_product_trace(x, a), "|Tr(x a)|")
-    return bool(t <= tol * max(1.0, frobenius_norm(x) * frobenius_norm(a)))
+    return _trace_orthogonal(x, a, DEFAULT_TOL, "Tr(x a)")[1]

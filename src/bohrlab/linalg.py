@@ -77,11 +77,6 @@ def as_complex_matrix(value, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def adjoint(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
-
-
 def re_part(a: np.ndarray) -> np.ndarray:
     """Hermitian real part (a + a*) / 2, formed as a/2 + a*/2.
 
@@ -103,8 +98,17 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
+@np.errstate(over="ignore")
 def frobenius_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
+    """sqrt(sum |a_ij|^2).  numpy's sum of squares overflows once an entry
+    passes about 1.3e154; the norm is then taken of a / max|a| and scaled
+    back, so it is inf only when the norm itself is beyond the float range."""
+    norm = float(np.linalg.norm(a))
+    if norm == math.inf:
+        top = max_abs(a)  # inf too when an entry's modulus overflows
+        if top < math.inf:
+            norm = top * float(np.linalg.norm(a / top))
+    return norm
 
 
 def hermitian_deviation(a: np.ndarray) -> float:
@@ -114,31 +118,29 @@ def hermitian_deviation(a: np.ndarray) -> float:
         return max_abs(a - a.conj().T)
 
 
-def _require_hermitian(a: np.ndarray, tol: float, name: str) -> None:
-    dev = hermitian_deviation(a)
-    # written so that a nan deviation fails too
-    if not dev <= tol * max(1.0, max_abs(a)):
-        raise NotHermitianError(f"{name} deviates from Hermitian by {dev:.3e}")
+def within_tol(dev: float, scale: float, tol: float) -> bool:
+    """The package's relative-tolerance rule: dev <= tol * max(1, scale).
+
+    A matrix condition (a triangle, a real diagonal, Hermitian symmetry)
+    passes when its deviation is within tol of its largest entry, scale
+    max|a|; a trace orthogonality Tr(x a) = 0 takes scale ||x||_F ||a||_F.
+    Written so that a nan deviation fails.
+    """
+    return bool(dev <= tol * max(1.0, scale))
 
 
-def hermitian_eigenvalues(h: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, sorted nonincreasing.
 
     Raises NotHermitianError when ||h - h*||_max exceeds
-    tol * max(1, ||h||_max).
+    DEFAULT_TOL * max(1, ||h||_max).
     """
     h = np.asarray(h, dtype=np.complex128)
-    _require_hermitian(h, tol, "h")
-    # eigvalsh and eigh read one triangle only, so they get re_part(h)
+    dev = hermitian_deviation(h)
+    if not within_tol(dev, max_abs(h), DEFAULT_TOL):
+        raise NotHermitianError(f"h deviates from Hermitian by {dev:.3e}")
+    # eigvalsh reads one triangle only, so it gets re_part(h)
     return np.linalg.eigvalsh(re_part(h))[::-1]
-
-
-def hermitian_eigensystem(h: np.ndarray, tol: float = DEFAULT_TOL):
-    """Eigenvalues (nonincreasing) and matching orthonormal eigenvectors."""
-    h = np.asarray(h, dtype=np.complex128)
-    _require_hermitian(h, tol, "h")
-    values, vectors = np.linalg.eigh(re_part(h))
-    return values[::-1], vectors[:, ::-1]
 
 
 def singular_values(a: np.ndarray) -> np.ndarray:
@@ -156,30 +158,13 @@ def trace_norm(a: np.ndarray) -> float:
     return float(np.sum(singular_values(a)))
 
 
-def loewner_leq(x: np.ndarray, y: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """Order test x <= y: the gap y - x must be PSD up to a relative slack.
-
-    Both arguments must be Hermitian within tol.  The slack is one-sided,
-    min eigenvalue >= -tol * max(1, ||y - x||), so exact rank-deficient
-    gap matrices pass despite rounding.
-    """
-    x = np.asarray(x, dtype=np.complex128)
-    y = np.asarray(y, dtype=np.complex128)
-    _require_hermitian(x, tol, "x")
-    _require_hermitian(y, tol, "y")
-    gap = y - x
-    values = hermitian_eigenvalues(gap, tol=max(tol, DEFAULT_TOL))
-    scale = max(1.0, float(np.max(np.abs(values))) if values.size else 0.0)
-    return bool(values[-1] >= -tol * scale)
-
-
-def is_strictly_upper(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+def is_strictly_upper(a: np.ndarray) -> bool:
     """Entries on and below the diagonal vanish (relative to the largest entry)."""
     a = np.asarray(a, dtype=np.complex128)
-    return max_abs(np.tril(a)) <= tol * max(1.0, max_abs(a))
+    return within_tol(max_abs(np.tril(a)), max_abs(a), DEFAULT_TOL)
 
 
-def is_upper(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+def is_upper(a: np.ndarray) -> bool:
     """Entries strictly below the diagonal vanish (relative to the largest entry)."""
     a = np.asarray(a, dtype=np.complex128)
-    return max_abs(np.tril(a, -1)) <= tol * max(1.0, max_abs(a))
+    return within_tol(max_abs(np.tril(a, -1)), max_abs(a), DEFAULT_TOL)

@@ -124,10 +124,12 @@ def classical_verify(
     return ClassicalCheck(holds=bool(lhs <= rhs + tol), lhs=lhs, rhs=rhs)
 
 
-def crossing_radius(s: CoeffSeries, budget: float, tol: float = 1e-12) -> float:
+def crossing_radius(s: CoeffSeries, budget: float) -> float:
     """sup{ r in [0,1) : scalar_bohr_sum(s, r) <= budget }, by bisection.
 
-    Returns 1.0 when the sum never exceeds the budget on [0, 1); raises
-    BudgetBelowAlpha0Error when it already does at r = 0.
+    critical_radius of the majorant series, so the result is within the
+    same fixed 1e-12 bracket of the supremum.  Returns 1.0 when the sum
+    never exceeds the budget on [0, 1); raises BudgetBelowAlpha0Error
+    when it already does at r = 0.
     """
-    return critical_radius(_majorant(s), budget, tol)
+    return critical_radius(_majorant(s), budget)

@@ -68,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypotheses import check_theorem_hypotheses
-from .linalg import DEFAULT_TOL, as_complex_matrix, hermitian_deviation, max_abs
+from .linalg import DEFAULT_TOL, as_complex_matrix, hermitian_deviation, max_abs, within_tol
 from .series import BohrInstance
 
 
@@ -190,7 +190,7 @@ def objective(x, M) -> np.ndarray:
     return np.divide(D, D + mag, out=np.ones_like(D), where=mag != 0.0)
 
 
-def materialize(n: int, P, M, tol: float = DEFAULT_TOL) -> BohrInstance:
+def materialize(n: int, P, M) -> BohrInstance:
     """Assemble the instance (A, S, constant M) realizing a pair (P, M).
 
     The instance is BohrInstance.from_gap(P, M, 0), so S - Re(A) = P and
@@ -203,11 +203,11 @@ def materialize(n: int, P, M, tol: float = DEFAULT_TOL) -> BohrInstance:
     M = as_complex_matrix(M, "M")
     if P.shape[0] != n or M.shape[0] != n:
         raise BadLengthError(f"P and M must be {n}x{n}")
-    if not hermitian_deviation(P) <= tol * max(1.0, max_abs(P)):
+    if not within_tol(hermitian_deviation(P), max_abs(P), DEFAULT_TOL):
         raise NotPSDError("P must be Hermitian")
 
     inst = BohrInstance.from_gap(P, M, 0.0)
-    report = check_theorem_hypotheses(inst, tol=tol)
+    report = check_theorem_hypotheses(inst)
     gap = report.condition("gap_psd")
     if not gap.passed:
         raise NotPSDError(f"P has a negative eigenvalue {gap.slack}")

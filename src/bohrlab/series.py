@@ -267,15 +267,14 @@ def bohr_sum(series: AlphaSeries, r: float) -> float:
     return float(total)
 
 
-def critical_radius(series: AlphaSeries, budget: float, tol: float = _BISECT_TOL) -> float:
+def critical_radius(series: AlphaSeries, budget: float) -> float:
     """sup{ r in [0,1) : bohr_sum(series, r) <= budget }, by bisection.
 
     Returns 1.0 when the sum never exceeds the budget on [0, 1).  The
-    result is within tol of the true supremum (bohr_sum is nondecreasing
-    in r).
+    bisection stops once its bracket is at most 1e-12 wide and returns
+    the bracket's midpoint, so the result is within 1e-12 of the true
+    supremum (bohr_sum is nondecreasing in r).
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     if budget < series.alpha0:
         raise BudgetBelowAlpha0Error(
             f"budget {budget} is below alpha0 {series.alpha0}; the sum fails at r = 0"
@@ -285,7 +284,7 @@ def critical_radius(series: AlphaSeries, budget: float, tol: float = _BISECT_TOL
         return 1.0
     lo = 0.0
     iters = 0
-    while hi - lo > tol and iters < _BISECT_MAX_ITERS:
+    while hi - lo > _BISECT_TOL and iters < _BISECT_MAX_ITERS:
         mid = 0.5 * (lo + hi)
         if bohr_sum(series, mid) <= budget:
             lo = mid
@@ -302,9 +301,9 @@ def critical_radii(alpha0: np.ndarray, tail: np.ndarray, budget: np.ndarray) -> 
     Row i is the series alpha0[i], tail[i], tail[i], ... (ratio 1, tail
     from m = 1) against budget[i]; the arrays hold checked values, as
     leading_blocks returns them.  Every row is bisected in lockstep with
-    the IEEE operations of critical_radius and bohr_sum at its default
-    tolerance, so each radius is bit for bit critical_radius of that row
-    alone, 1.0 where the sum never exceeds the budget on [0, 1).
+    the IEEE operations of critical_radius and bohr_sum and the same
+    1e-12 bracket, so each radius is bit for bit critical_radius of that
+    row alone, 1.0 where the sum never exceeds the budget on [0, 1).
     Raises BudgetBelowAlpha0Error for the first row whose budget is
     below its alpha0.  One series is faster through critical_radius: a
     numpy step costs more than a Python one on a single row.

@@ -5,6 +5,8 @@ import hashlib
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -513,6 +515,23 @@ class TestVerifyCommand:
         assert payload["check"]["slack"] == pytest.approx(1e307, rel=1e-12)
         assert payload["critical_radius"] == 1.0
 
+    def test_orthogonality_bound_that_overflows_fails(self, tmp_path, capsys):
+        # tol ||S||_F ||A_1||_F overflows; an infinite bound would pass
+        # any |Tr(S A_1)|, here 1.35e308
+        inst = BohrInstance(
+            np.zeros((2, 2)),
+            np.diag([1.5e308, 0.0]),
+            SequenceSpec.constant(np.diag([0.9, 0.9])),
+            "relaxed",
+        )
+        path = write_instance(tmp_path, inst)
+        code, out, err = run_strict(["verify", path, "--r", "0.3"], capsys)
+        assert code == EXIT_HYPOTHESES
+        assert err == ""
+        assert "  [FAIL] orthogonal_to_s          slack=-1.35e+308\n" in out
+        assert out.count("[FAIL]") == 1
+        assert "overall: FAIL" in out
+
     @pytest.mark.parametrize("n", [3, 4, 8, 100])
     def test_zero_tolerance_passes_rank_one_gap_witnesses(self, tmp_path, capsys, n):
         # LAPACK returns the zero eigenvalues of a rank-one gap slightly
@@ -986,3 +1005,44 @@ class TestFixedCost:
         assert main(["scalar", "--moebius", "0.5", "--r", "0.3"]) == EXIT_OK
         assert main(["table", "--max-n", "3"]) == EXIT_OK
         capsys.readouterr()
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def readme_sessions():
+    """The README's shell sessions: per fenced block that opens with `$ `,
+    each `$ bohrlab ...` command with the stdout printed under it, and
+    each `$ echo $?` with the exit code of the command before it."""
+    with open(README, encoding="utf-8") as fh:
+        blocks = re.findall(r"^```\n(\$ .*?)^```$", fh.read(), re.M | re.S)
+    sessions = []
+    for block in blocks:
+        steps = []
+        for chunk in re.split(r"^\$ ", block, flags=re.M)[1:]:
+            command, _, printed = chunk.partition("\n")
+            printed = printed.rstrip("\n")
+            steps.append((command, printed + "\n" if printed else ""))
+        sessions.append(steps)
+    return sessions
+
+
+class TestReadme:
+    """Every README example prints what the README shows."""
+
+    def test_every_example_is_checked(self):
+        commands = [c for steps in readme_sessions() for c, _ in steps if c.startswith("bohrlab ")]
+        assert len(commands) == 7
+
+    @pytest.mark.parametrize("steps", readme_sessions(), ids=lambda steps: steps[0][0])
+    def test_session(self, steps, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = None
+        for command, printed in steps:
+            if command == "echo $?":
+                assert code == int(printed), command
+                continue
+            argv = shlex.split(command)
+            assert argv[0] == "bohrlab"
+            code = main(argv[1:])
+            assert capsys.readouterr().out == printed, command

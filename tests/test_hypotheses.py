@@ -15,7 +15,15 @@ from bohrlab.hypotheses import (
     check_theorem_hypotheses,
     orthogonality_check,
 )
-from bohrlab.linalg import NonFiniteError
+from bohrlab.linalg import (
+    DEFAULT_TOL,
+    NonFiniteError,
+    NotHermitianError,
+    hermitian_eigenvalues,
+    is_strictly_upper,
+    is_upper,
+    max_abs,
+)
 from bohrlab.series import BohrInstance, SequenceSpec
 from bohrlab.witnesses import general_witness, remark_two_witness, sine_witness
 
@@ -217,6 +225,86 @@ class TestOrthogonalityLemma:
             orthogonality_check(np.eye(2), np.eye(2))
 
 
+class TestRuleAgreement:
+    """The linalg predicates and the hypothesis conditions share one
+    relative-tolerance rule, so seeded matrices placed just inside
+    (factor 0.99) and just outside (1.01) it get the same verdict."""
+
+    FACTORS = (0.99, 1.01)
+
+    @staticmethod
+    def near_rule(rng, base, mask, factor):
+        """base plus a random part on mask whose largest entry is factor *
+        DEFAULT_TOL * max|base|; max|base| >= 1, so that is the rule's
+        bound to within the part's own size."""
+        part = (rng.standard_normal(mask.shape) + 1j * rng.standard_normal(mask.shape)) * mask
+        return base + part * (factor * DEFAULT_TOL * max_abs(base) / max_abs(part))
+
+    @staticmethod
+    def scaled(rng, m):
+        return m * 10.0 ** rng.integers(1, 9)
+
+    def test_is_upper_and_upper_triangular_a(self):
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            n = int(rng.integers(2, 8))
+            for factor in self.FACTORS:
+                x = self.near_rule(rng, self.scaled(rng, random_upper(rng, n)), np.tri(n, k=-1), factor)
+                inst = BohrInstance(x, np.zeros((n, n)), SequenceSpec.finite([]))
+                verdict = check_theorem_hypotheses(inst).condition("upper_triangular_a").passed
+                assert is_upper(x) is verdict is (factor < 1.0)
+
+    def test_is_strictly_upper_and_strictly_upper_sequence(self):
+        rng = np.random.default_rng(42)
+        for _ in range(20):
+            n = int(rng.integers(2, 8))
+            for factor in self.FACTORS:
+                base = self.scaled(rng, random_upper(rng, n, strict=True))
+                m = self.near_rule(rng, base, np.tri(n), factor)
+                inst = BohrInstance(np.zeros((n, n)), np.zeros((n, n)), SequenceSpec.finite([m]))
+                verdict = check_theorem_hypotheses(inst).condition("strictly_upper_sequence").passed
+                assert is_strictly_upper(m) is verdict is (factor < 1.0)
+
+    def test_orthogonality_check_and_orthogonal_to_a(self):
+        # Tr(U V) is exactly 0 for upper U and strictly upper V, so Tr(x a)
+        # is that of the lower part of x against V; each lower entry is
+        # phase-aligned with its V entry, and U's one dominant entry keeps
+        # the lower part within is_upper's rule while |Tr(x a)| sits at
+        # factor * DEFAULT_TOL * ||x||_F ||a||_F
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            n = int(rng.integers(3, 8))
+            u = random_upper(rng, n)
+            u[0, n - 1] = 10.0 * n
+            v = self.scaled(rng, random_upper(rng, n, strict=True))
+            aligned = np.conj(v.T) / np.where(v.T == 0, 1.0, np.abs(v.T))
+            pairing = abs(np.sum(aligned * v.T))
+            for factor in self.FACTORS:
+                bound = DEFAULT_TOL * np.linalg.norm(u) * np.linalg.norm(v)
+                x = u + aligned * (factor * bound / pairing)
+                inst = BohrInstance(x, np.zeros((n, n)), SequenceSpec.finite([v]), "relaxed")
+                verdict = check_relaxed_hypotheses(inst).condition("orthogonal_to_a").passed
+                assert orthogonality_check(x, v) is verdict is (factor < 1.0)
+
+    def test_hermitian_eigenvalues_and_hermitian_s(self):
+        rng = np.random.default_rng(44)
+        for _ in range(20):
+            n = int(rng.integers(2, 8))
+            g = self.scaled(rng, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            for factor in self.FACTORS:
+                # a strictly upper part p makes s - s* = p - p*, whose
+                # largest entry is max|p|
+                s = self.near_rule(rng, g + g.conj().T, np.triu(np.ones((n, n)), 1), factor)
+                inst = BohrInstance(np.zeros((n, n)), s, SequenceSpec.finite([]), "relaxed")
+                verdict = check_relaxed_hypotheses(inst).condition("hermitian_s").passed
+                try:
+                    hermitian_eigenvalues(s)
+                    raised = False
+                except NotHermitianError:
+                    raised = True
+                assert verdict is (not raised) is (factor < 1.0)
+
+
 class TestNonFinite:
     """Finite entries whose arithmetic overflows: an error, never a verdict."""
 
@@ -271,6 +359,35 @@ class TestNonFinite:
         # the relaxed set meets the overflow first in Tr(S M)
         with pytest.raises(NonFiniteError, match="orthogonal_to_s slack"):
             check_relaxed_hypotheses(inst)
+
+    def test_orthogonality_bound_that_overflows_fails(self):
+        # tol ||S||_F ||A_1||_F overflows; an infinite bound would pass
+        # any |Tr(S A_1)|, here 1.35e308
+        s = np.diag([1.5e308, 0.0])
+        inst = BohrInstance(np.zeros((2, 2)), s, SequenceSpec.constant(np.diag([0.9, 0.9])), "relaxed")
+        report = check_relaxed_hypotheses(inst)
+        cond = report.condition("orthogonal_to_s")
+        assert not cond.passed
+        assert cond.slack == -1.35e308
+        assert [c.name for c in report.conditions if not c.passed] == ["orthogonal_to_s"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_frobenius_norm_that_overflows_fails(self):
+        # ||S||_F = 2.1e308 = inf against A_1 = 0: inf * 0 is nan, and the
+        # bound tol * max(1, nan) would read tol, since max(1.0, nan) is 1.0
+        s = np.diag([1.5e308, 1.5e308])
+        inst = BohrInstance(np.zeros((2, 2)), s, SequenceSpec.finite([np.zeros((2, 2))]), "relaxed")
+        assert not check_relaxed_hypotheses(inst).condition("orthogonal_to_s").passed
+        assert not orthogonality_check(s, np.zeros((2, 2)))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_finite_bound_near_the_float_limit_still_decides(self):
+        # numpy's sum of squares overflows here, the norms 1.5e308 and 0.9
+        # and their product do not: Tr(S A_1) = 0 passes, 1.5e298 fails
+        s = np.diag([1.5e308, 0.0])
+        for m, passes in ((np.diag([0.0, 0.9]), True), (np.diag([1e-10, 0.9]), False)):
+            inst = BohrInstance(np.zeros((2, 2)), s, SequenceSpec.constant(m), "relaxed")
+            assert check_relaxed_hypotheses(inst).condition("orthogonal_to_s").passed is passes
 
     def test_large_finite_instance_still_decides(self):
         # the same shape at 1e8 overflows nothing

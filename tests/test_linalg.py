@@ -1,4 +1,4 @@
-"""Matrix layer: eigenvalues, norms, order tests, triangularity."""
+"""Matrix layer: eigenvalues, norms, triangularity."""
 
 import math
 import tracemalloc
@@ -9,14 +9,11 @@ import pytest
 from bohrlab.linalg import (
     NonFiniteError,
     NotHermitianError,
-    adjoint,
     as_complex_matrix,
     frobenius_norm,
-    hermitian_eigensystem,
     hermitian_eigenvalues,
     is_strictly_upper,
     is_upper,
-    loewner_leq,
     max_abs,
     modulus,
     operator_norm,
@@ -121,12 +118,6 @@ class TestValidation:
 
 
 class TestBasics:
-    def test_adjoint_involution_exact(self):
-        rng = np.random.default_rng(0)
-        for n in (1, 2, 5, 9):
-            a = random_complex(rng, n)
-            assert np.array_equal(adjoint(adjoint(a)), a)
-
     def test_re_part_halves_upper_entries(self):
         a = np.array([[1.0, -2.0], [0.0, 1.0]], dtype=complex)
         expected = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -177,7 +168,7 @@ class TestEigenvalues:
 
     def test_nearly_hermitian_uses_hermitian_part(self):
         # eigvalsh reads one triangle; an asymmetry below tol must not
-        # leak in, so both routes see the Hermitian part
+        # leak in, so it sees the Hermitian part
         rng = np.random.default_rng(11)
         for _ in range(40):
             n = int(rng.integers(2, 9))
@@ -187,9 +178,6 @@ class TestEigenvalues:
             want = np.sort(np.linalg.eigvalsh(0.5 * (near + near.conj().T)))[::-1]
             scale = max(1.0, float(np.max(np.abs(want))))
             assert np.max(np.abs(hermitian_eigenvalues(near) - want)) <= 1e-12 * scale
-            values, vectors = hermitian_eigensystem(near)
-            assert np.max(np.abs(values - want)) <= 1e-12 * scale
-            assert max_abs(vectors.conj().T @ vectors - np.eye(n)) <= 1e-12
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
@@ -213,17 +201,6 @@ class TestEigenvalues:
             tr = float(np.trace(h).real)
             assert abs(float(np.sum(hermitian_eigenvalues(h))) - tr) <= 1e-10 * max(1.0, abs(tr))
 
-    def test_eigensystem_residual_and_orthonormality(self):
-        rng = np.random.default_rng(5)
-        for _ in range(30):
-            n = int(rng.integers(2, 10))
-            h = random_hermitian(rng, n)
-            values, vectors = hermitian_eigensystem(h)
-            scale = max(1.0, float(np.max(np.abs(values))))
-            residual = max_abs(h @ vectors - vectors * values)
-            assert residual <= 1e-12 * scale
-            assert max_abs(vectors.conj().T @ vectors - np.eye(n)) <= 1e-12
-
 
 class TestNonFinite:
     def test_nan_entries_are_not_hermitian(self):
@@ -231,8 +208,6 @@ class TestNonFinite:
         for h in (np.array([[np.nan, 0.0], [0.0, 1.0]]), np.array([[1.0, np.nan], [np.nan, 1.0]])):
             with pytest.raises(NotHermitianError):
                 hermitian_eigenvalues(h)
-            with pytest.raises(NotHermitianError):
-                hermitian_eigensystem(h)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
@@ -250,12 +225,6 @@ class TestNonFinite:
         h = np.array(h, dtype=np.complex128)
         with pytest.raises(NotHermitianError):
             hermitian_eigenvalues(h)
-        with pytest.raises(NotHermitianError):
-            hermitian_eigensystem(h)
-        with pytest.raises(NotHermitianError):
-            loewner_leq(h, np.eye(2))
-        with pytest.raises(NotHermitianError):
-            loewner_leq(np.eye(2), h)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_hermitian_part_of_huge_finite_entries_stays_finite(self):
@@ -264,11 +233,6 @@ class TestNonFinite:
         top = math.hypot(1e308, 1e308)  # the eigenvalues 1 +- |h_01| round to +-top
         values = hermitian_eigenvalues(h)
         assert np.allclose(values, [top, -top], rtol=1e-14, atol=0.0)
-        values, vectors = hermitian_eigensystem(h)
-        assert np.allclose(values, [top, -top], rtol=1e-14, atol=0.0)
-        for j in range(2):
-            residual = h @ vectors[:, j] / top - values[j] / top * vectors[:, j]
-            assert np.max(np.abs(residual)) <= 1e-14
 
     def test_hermitian_part_matches_the_plain_formula_bit_for_bit(self):
         rng = np.random.default_rng(31)
@@ -279,10 +243,6 @@ class TestNonFinite:
             h = a + a.conj().T + 1e-13 * (a - a.conj().T)
             plain = (h + h.conj().T) / 2.0
             assert np.array_equal(hermitian_eigenvalues(h), np.linalg.eigvalsh(plain)[::-1])
-            values, vectors = hermitian_eigensystem(h)
-            ref_values, ref_vectors = np.linalg.eigh(plain)
-            assert np.array_equal(values, ref_values[::-1])
-            assert np.array_equal(vectors, ref_vectors[:, ::-1])
 
     def test_modulus_names_an_overflow(self):
         assert modulus(3 + 4j, "z") == 5.0
@@ -369,36 +329,14 @@ class TestNorms:
         a = random_complex(rng, 5)
         assert abs(frobenius_norm(a) - math.sqrt(float(np.sum(np.abs(a) ** 2)))) <= 1e-12
 
-
-class TestLoewner:
-    def test_general_gap_all_ones(self):
-        n = 5
-        a = np.eye(n) - 2.0 * np.triu(np.ones((n, n)), 1)
-        assert loewner_leq(re_part(a), 2.0 * np.eye(n))
-
-    def test_reflexive(self):
-        rng = np.random.default_rng(11)
-        h = random_hermitian(rng, 4)
-        assert loewner_leq(h, h)
-
-    def test_strict_failure(self):
-        assert not loewner_leq(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-
-    def test_rejects_non_hermitian_input(self):
-        with pytest.raises(NotHermitianError):
-            loewner_leq(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
-
-    def test_transitive(self):
-        rng = np.random.default_rng(12)
-        for _ in range(50):
-            n = int(rng.integers(2, 7))
-            x = random_hermitian(rng, n)
-            p1 = random_complex(rng, n)
-            p2 = random_complex(rng, n)
-            y = x + p1 @ p1.conj().T
-            z = y + p2 @ p2.conj().T
-            assert loewner_leq(x, y) and loewner_leq(y, z)
-            assert loewner_leq(x, z, tol=2e-10)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_frobenius_survives_an_overflowing_sum_of_squares(self):
+        # |a_ij|^2 overflows from about 1.3e154 on; the norm does not
+        assert frobenius_norm(np.diag([1.5e308, 0.0])) == pytest.approx(1.5e308, rel=1e-15)
+        assert frobenius_norm(np.full((3, 3), 1e200 + 0j)) == pytest.approx(3e200, rel=1e-15)
+        # beyond the float range, from the sum or from one entry's modulus
+        assert frobenius_norm(np.diag([1.5e308, 1.5e308])) == math.inf
+        assert frobenius_norm(np.array([[1.5e308 + 1.5e308j]])) == math.inf
 
 
 class TestTriangularity:
@@ -417,8 +355,10 @@ class TestTriangularity:
         assert not is_upper(m)
 
     def test_tolerance_is_relative(self):
-        big = np.triu(np.full((3, 3), 1e12), 1)
-        noisy = big.copy()
-        noisy[2, 0] = 1.0
-        assert is_strictly_upper(noisy)
-        assert not is_strictly_upper(noisy, tol=1e-15)
+        # a unit entry below the diagonal is 1e-12 of a 1e12 matrix, within
+        # DEFAULT_TOL = 1e-10, but 1e-9 of a 1e9 one, beyond it
+        for top, passes in ((1e12, True), (1e9, False)):
+            noisy = np.triu(np.full((3, 3), top), 1)
+            noisy[2, 0] = 1.0
+            assert is_strictly_upper(noisy) is passes
+            assert is_upper(noisy) is passes

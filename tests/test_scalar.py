@@ -194,7 +194,3 @@ class TestCrossingRadius:
     def test_budget_exceeded_at_zero(self):
         with pytest.raises(ValueError):
             crossing_radius(CoeffSeries((2.0,)), 1.0)
-
-    def test_bad_tol(self):
-        with pytest.raises(ValueError):
-            crossing_radius(CoeffSeries((1.0,)), 2.0, tol=-1.0)

@@ -302,13 +302,9 @@ class TestCriticalRadius:
         with pytest.raises(BudgetBelowAlpha0Error):
             critical_radius(AlphaSeries(3.0, (), 1.0), 2.5)
 
-    def test_bad_tol(self):
-        with pytest.raises(ValueError):
-            critical_radius(AlphaSeries(1.0, (), 1.0), 2.0, tol=0.0)
-
     def test_threshold_consistency(self):
         rng = np.random.default_rng(15)
-        tol = 1e-12
+        bracket = 1e-12  # the bisection's fixed bracket width
         for _ in range(25):
             series = AlphaSeries(
                 float(rng.uniform(0, 2)),
@@ -316,11 +312,11 @@ class TestCriticalRadius:
                 float(rng.uniform(0.5, 2)),
             )
             budget = series.alpha0 + float(rng.uniform(0.1, 3))
-            r = critical_radius(series, budget, tol=tol)
+            r = critical_radius(series, budget)
             if r == 1.0:
                 continue
-            assert bohr_sum(series, r - 2 * tol) <= budget + 1e-11
-            assert bohr_sum(series, r + 2 * tol) >= budget - 1e-11
+            assert bohr_sum(series, r - 2 * bracket) <= budget + 1e-11
+            assert bohr_sum(series, r + 2 * bracket) >= budget - 1e-11
 
     def test_budget_scaling_leaves_radius_fixed(self):
         series = AlphaSeries(2.0, (1.0,), 3.0)
