@@ -123,10 +123,26 @@ def within_tol(dev: float, scale: float, tol: float) -> bool:
 
     A matrix condition (a triangle, a real diagonal, Hermitian symmetry)
     passes when its deviation is within tol of its largest entry, scale
-    max|a|; a trace orthogonality Tr(x a) = 0 takes scale ||x||_F ||a||_F.
-    Written so that a nan deviation fails.
+    max|a| (entries_within_tol); a trace orthogonality Tr(x a) = 0
+    takes scale ||x||_F ||a||_F.  Written so that a nan deviation fails.
     """
     return bool(dev <= tol * max(1.0, scale))
+
+
+def entries_within_tol(dev: float, a: np.ndarray, tol: float) -> bool:
+    """within_tol with scale max|a|, the rule of every matrix condition.
+
+    A finite entry whose modulus is beyond the float range makes max|a|
+    inf, and an infinite bound would pass any deviation; the bound
+    tol max|a| is then formed as 2 (tol max|a/2|), halving before the
+    modulus as re_part does.  Where max|a| is finite this is within_tol.
+    """
+    scale = max_abs(a)
+    if scale < math.inf:
+        return within_tol(dev, scale, tol)
+    # |a/2| from the halved parts: complex division turns an inf entry into nan
+    half = float(np.max(np.hypot(a.real / 2.0, a.imag / 2.0)))
+    return bool(dev <= 2.0 * (tol * half))
 
 
 def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
@@ -137,7 +153,7 @@ def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
     """
     h = np.asarray(h, dtype=np.complex128)
     dev = hermitian_deviation(h)
-    if not within_tol(dev, max_abs(h), DEFAULT_TOL):
+    if not entries_within_tol(dev, h, DEFAULT_TOL):
         raise NotHermitianError(f"h deviates from Hermitian by {dev:.3e}")
     # eigvalsh reads one triangle only, so it gets re_part(h)
     return np.linalg.eigvalsh(re_part(h))[::-1]
@@ -161,10 +177,10 @@ def trace_norm(a: np.ndarray) -> float:
 def is_strictly_upper(a: np.ndarray) -> bool:
     """Entries on and below the diagonal vanish (relative to the largest entry)."""
     a = np.asarray(a, dtype=np.complex128)
-    return within_tol(max_abs(np.tril(a)), max_abs(a), DEFAULT_TOL)
+    return entries_within_tol(max_abs(np.tril(a)), a, DEFAULT_TOL)
 
 
 def is_upper(a: np.ndarray) -> bool:
     """Entries strictly below the diagonal vanish (relative to the largest entry)."""
     a = np.asarray(a, dtype=np.complex128)
-    return within_tol(max_abs(np.tril(a, -1)), max_abs(a), DEFAULT_TOL)
+    return entries_within_tol(max_abs(np.tril(a, -1)), a, DEFAULT_TOL)

@@ -68,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypotheses import check_theorem_hypotheses
-from .linalg import DEFAULT_TOL, as_complex_matrix, hermitian_deviation, max_abs, within_tol
+from .linalg import DEFAULT_TOL, as_complex_matrix, entries_within_tol, hermitian_deviation
 from .series import BohrInstance
 
 
@@ -203,7 +203,7 @@ def materialize(n: int, P, M) -> BohrInstance:
     M = as_complex_matrix(M, "M")
     if P.shape[0] != n or M.shape[0] != n:
         raise BadLengthError(f"P and M must be {n}x{n}")
-    if not within_tol(hermitian_deviation(P), max_abs(P), DEFAULT_TOL):
+    if not entries_within_tol(hermitian_deviation(P), P, DEFAULT_TOL):
         raise NotPSDError("P must be Hermitian")
 
     inst = BohrInstance.from_gap(P, M, 0.0)

@@ -10,6 +10,7 @@ which the sum still fits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -92,15 +93,15 @@ class AlphaSeries:
     ratio: float = 1.0
 
     def __post_init__(self):
-        if not np.isfinite(self.alpha0):
+        if not math.isfinite(self.alpha0):
             raise ValueError(f"alpha0 must be finite, got {self.alpha0}")
         if self.alpha0 < 0.0:
             raise NegativeTraceError(f"alpha0 must be >= 0, got {self.alpha0}")
         mags = tuple(float(m) for m in self.magnitudes)
         object.__setattr__(self, "magnitudes", mags)
-        if any(not np.isfinite(m) or m < 0.0 for m in mags):
+        if not (all(map(math.isfinite, mags)) and min(mags, default=0.0) >= 0.0):
             raise ValueError("magnitudes must be finite and >= 0")
-        if not np.isfinite(self.tail) or self.tail < 0.0:
+        if not math.isfinite(self.tail) or self.tail < 0.0:
             raise ValueError(f"tail must be finite and >= 0, got {self.tail}")
         if not (0.0 <= self.ratio <= 1.0):
             raise ValueError(f"ratio must lie in [0, 1], got {self.ratio}")

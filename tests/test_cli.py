@@ -532,6 +532,20 @@ class TestVerifyCommand:
         assert out.count("[FAIL]") == 1
         assert "overall: FAIL" in out
 
+    def test_triangle_scale_that_overflows_still_bounds(self, tmp_path, capsys):
+        # max|A| is inf; an infinite bound would pass the lower entry 1e300
+        inst = BohrInstance(
+            np.array([[HUGE, 0.0], [1e300, -HUGE]]),
+            np.diag([1.6e308, -1.4e308]),
+            SequenceSpec.constant(SHIFT),
+        )
+        path = write_instance(tmp_path, inst)
+        code, out, err = run_strict(["verify", path, "--r", "0.3"], capsys)
+        assert code == EXIT_HYPOTHESES
+        assert err == ""
+        assert "  [FAIL] upper_triangular_a       slack=-1e+300\n" in out
+        assert out.count("[FAIL]") == 1
+
     @pytest.mark.parametrize("n", [3, 4, 8, 100])
     def test_zero_tolerance_passes_rank_one_gap_witnesses(self, tmp_path, capsys, n):
         # LAPACK returns the zero eigenvalues of a rank-one gap slightly

@@ -371,6 +371,33 @@ class TestNonFinite:
         assert cond.slack == -1.35e308
         assert [c.name for c in report.conditions if not c.passed] == ["orthogonal_to_s"]
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["inf", "nan"])
+    def test_orthogonality_trace_that_overflows(self, sign):
+        # Tr(S A_1) = 2e308 + 2e308 sign: inf for diag(2, 2), and inf - inf
+        # = nan for diag(2, -2); neither is a slack
+        s = np.diag([1e308, 1e308])
+        seq = SequenceSpec.constant(np.diag([2.0, 2.0 * sign]))
+        inst = BohrInstance(np.zeros((2, 2)), s, seq, "relaxed")
+        with pytest.raises(NonFiniteError, match="the orthogonal_to_s slack is not finite"):
+            check_relaxed_hypotheses(inst)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_triangle_scale_that_overflows_still_bounds(self):
+        # max|A| = |1.5e308 + 1.5e308j| is inf, and the lower entry 1e300
+        # exceeds tol max|A| = 2.1e298; the other conditions hold
+        huge = 1.5e308 + 1.5e308j
+        a = np.array([[huge, 0.0], [1e300, -huge]])
+        inst = BohrInstance(a, np.diag([1.6e308, -1.4e308]), SequenceSpec.constant(np.eye(2, k=1)))
+        report = check_theorem_hypotheses(inst)
+        cond = report.condition("upper_triangular_a")
+        assert not cond.passed
+        assert cond.slack == -1e300
+        assert [c.name for c in report.conditions if not c.passed] == ["upper_triangular_a"]
+        # the same matrix without the lower entry passes
+        a[1, 0] = 0.0
+        inst = BohrInstance(a, np.diag([1.6e308, -1.4e308]), SequenceSpec.constant(np.eye(2, k=1)))
+        assert check_theorem_hypotheses(inst).overall
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_frobenius_norm_that_overflows_fails(self):
         # ||S||_F = 2.1e308 = inf against A_1 = 0: inf * 0 is nan, and the

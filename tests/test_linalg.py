@@ -251,6 +251,20 @@ class TestNonFinite:
         with pytest.raises(NonFiniteError, match=r"^\|z\| is not finite: the input overflows"):
             modulus(complex(1.5e308, 1.5e308), "|z|")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_scale_whose_modulus_overflows_bounds_the_deviation(self):
+        # |1.5e308 + 1.5e308j| is beyond the float range, so max|a| is inf;
+        # the bound tol max|a| = 2.1e298 still rejects a deviation of 1e300
+        huge = 1.5e308 + 1.5e308j
+        assert not is_upper(np.array([[0.0, huge], [1e300, 0.0]]))
+        assert not is_strictly_upper(np.array([[0.0, huge], [1e300, 0.0]]))
+        assert not is_strictly_upper(np.array([[1e300, huge], [0.0, 0.0]]))
+        with pytest.raises(NotHermitianError):
+            hermitian_eigenvalues(np.array([[0.0, huge], [huge.conjugate() + 1e300, 0.0]]))
+        # a deviation within the bound still passes
+        assert is_upper(np.array([[0.0, huge], [1e290, 0.0]]))
+        assert is_strictly_upper(np.array([[0.0, huge], [0.0, 0.0]]))
+
     def test_require_finite(self):
         assert require_finite(2.5, "x") == 2.5
         values = np.array([1.0, -3.0])

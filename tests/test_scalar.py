@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from bohrlab import scalar
 from bohrlab.scalar import (
     ClassicalCheck,
     CoeffSeries,
@@ -22,16 +23,45 @@ def brute_moebius_sum(a, r, terms=600):
     return a + sum((1.0 - a * a) * a ** (k - 1) * r**k for k in range(1, terms))
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def direct_estimate(s, gridpoints):
+    """The grid estimate with a fresh grid, the power z ** m0 and a
+    per-coefficient fold: the reference the cached-grid evaluation must
+    match bit for bit where the tail starts at index 0 or 1."""
+    buckets = np.zeros(gridpoints, dtype=np.complex128)
+    for k, c in enumerate(s.coeffs):
+        buckets[k % gridpoints] += c
+    values = np.fft.ifft(buckets) * gridpoints
+    if s.tail is not None and s.tail[0] != 0:
+        c, rho = s.tail
+        z = np.exp(2j * np.pi * np.arange(gridpoints) / gridpoints)
+        values = values + c * z ** len(s.coeffs) / (1.0 - rho * z)
+    return float(np.max(np.abs(values)))
+
+
+GRIDS = (8, 100, 1000, 4096, 8192)
+
+# max over the 100-point grid of |0.3 + (0.5+0.2j) z^5001 / (1 - (0.9-0.1j) z)|,
+# from 40-digit arithmetic
+LONG_TAIL_REFERENCE = 5.8786867817575145707
+
+
 class TestCoeffSeries:
     def test_coefficients_coerced_to_complex(self):
         s = CoeffSeries((1, 2.0, 1j))
         assert s.coeffs == (1 + 0j, 2 + 0j, 1j)
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            CoeffSeries((float("nan"),))
-        with pytest.raises(ValueError):
-            CoeffSeries((1.0,), (float("inf"), 0.5))
+        for bad in (math.nan, math.inf, complex(0.0, -math.inf), complex(math.nan, 1.0)):
+            for at in (0, 1500, 2999):
+                coeffs = [0.5] * 3000
+                coeffs[at] = bad
+                with pytest.raises(ValueError, match="coefficients must be finite"):
+                    CoeffSeries(tuple(coeffs))
+            with pytest.raises(ValueError, match="tail parameters must be finite"):
+                CoeffSeries((), (0.5, bad))
+            with pytest.raises(ValueError, match="tail parameters must be finite"):
+                CoeffSeries((), (bad, 0.5))
 
     def test_rejects_expanding_tail(self):
         with pytest.raises(ValueError):
@@ -112,6 +142,61 @@ class TestSupNorm:
                 est = sup_norm_estimate(s, grid)
                 assert est >= prev - 1e-11 * max(1.0, abs(prev))
                 prev = est
+
+    def test_tail_from_index_zero_or_one_matches_direct_evaluation(self):
+        # z[(k m0) mod M] is z ** m0 bit for bit for m0 in {0, 1}: every
+        # Moebius series and every bare tail
+        rng = np.random.default_rng(41)
+        series = [moebius_series(float(a)) for a in rng.uniform(0.01, 0.99, 6)]
+        series += [moebius_series(a) for a in (0.3, 0.9, 0.99)]
+        for _ in range(6):
+            c = complex(rng.standard_normal(), rng.standard_normal())
+            rho = complex(*rng.uniform(-0.6, 0.6, 2))
+            series += [CoeffSeries((), (c, rho)), CoeffSeries((complex(rng.standard_normal()),), (c, rho))]
+        for grid in GRIDS:
+            for s in series:
+                assert sup_norm_estimate(s, grid) == direct_estimate(s, grid)
+
+    def test_polynomial_fold_matches_per_coefficient_sums(self):
+        # a slice up to the grid size, np.add.at beyond it: each bucket
+        # sums its coefficients in index order, as one at a time would
+        rng = np.random.default_rng(42)
+        for grid in (8, 100):
+            for count in (1, 7, 8, 9, 100, 101, 350):
+                c = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+                c[::5] = -0.0
+                s = CoeffSeries(tuple(c))
+                assert sup_norm_estimate(s, grid) == direct_estimate(s, grid)
+
+    def test_tail_start_is_periodic_in_the_grid_size(self):
+        # z^M = 1 on the grid, so a tail starting at m0 and at m0 + M gives
+        # the same values; reading the power by index keeps that exact
+        tail = (0.5 + 0.2j, 0.9 - 0.1j)
+        for grid in (8, 100, 1000):
+            for m0 in (2, 7, 33, 250):
+                near, far = (CoeffSeries((0.3,) + (0.0,) * (m - 1), tail) for m in (m0, m0 + grid))
+                assert sup_norm_estimate(near, grid) == sup_norm_estimate(far, grid)
+
+    def test_long_tail_start_against_high_precision_reference(self):
+        s = CoeffSeries((0.3,) + (0.0,) * 5000, (0.5 + 0.2j, 0.9 - 0.1j))
+        assert sup_norm_estimate(s, 100) == pytest.approx(LONG_TAIL_REFERENCE, rel=1e-15, abs=0.0)
+
+    def test_cached_grid_is_read_only(self):
+        z = scalar._unit_circle(64)
+        assert not z.flags.writeable
+        with pytest.raises(ValueError):
+            z[0] = 0.0
+        assert np.array_equal(z, np.exp(2j * np.pi * np.arange(64) / 64))
+        assert scalar._unit_circle.cache_info().maxsize == 1
+
+    def test_estimates_do_not_depend_on_grid_order(self):
+        series = [moebius_series(0.7), CoeffSeries((0.3, 0.0, 0.0), (0.5 + 0.2j, 0.9 - 0.1j))]
+        cases = [(s, grid) for grid in (8, 100, 4096, 100, 8) for s in series]
+        scalar._unit_circle.cache_clear()
+        forward = [sup_norm_estimate(s, grid) for s, grid in cases]
+        scalar._unit_circle.cache_clear()
+        backward = [sup_norm_estimate(s, grid) for s, grid in reversed(cases)]
+        assert forward == backward[::-1]
 
     def test_folding_handles_degree_above_grid(self):
         # degree 9 on an 8-point grid: z^8 = 1 on the grid, so folding

@@ -68,10 +68,15 @@ class TestAlphaSeries:
             AlphaSeries(-0.1)
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            AlphaSeries(float("nan"))
-        with pytest.raises(ValueError):
-            AlphaSeries(1.0, (float("inf"),))
+        mags = [0.5] * 3000
+        for bad in (math.nan, math.inf, -0.25):
+            for at in (0, 1500, 2999):
+                with pytest.raises(ValueError, match="magnitudes must be finite and >= 0"):
+                    AlphaSeries(1.0, tuple(mags[:at] + [bad] + mags[at + 1 :]))
+        for field in ("alpha0", "tail"):
+            for bad in (math.nan, math.inf, np.float64(math.nan)):
+                with pytest.raises(ValueError, match=f"{field} must be finite"):
+                    AlphaSeries(**{"alpha0": 1.0, field: bad})
 
     def test_negative_magnitude_rejected(self):
         with pytest.raises(ValueError):
