@@ -109,12 +109,8 @@ def sup_norm_estimate(s: CoeffSeries, gridpoints: int = 4096) -> float:
         raise ValueError(f"gridpoints must be >= 8, got {gridpoints}")
     buckets = np.zeros(gridpoints, dtype=np.complex128)
     count = len(s.coeffs)
-    if count <= gridpoints:
-        # += keeps each bucket 0 + c, as in the wrapping branch below
-        buckets[:count] += s.coeffs
-    else:
-        # unbuffered, so each bucket sums its coefficients in index order
-        np.add.at(buckets, np.arange(count) % gridpoints, s.coeffs)
+    # unbuffered, so each bucket sums its coefficients in index order
+    np.add.at(buckets, np.arange(count) % gridpoints, s.coeffs)
     values = np.fft.ifft(buckets) * gridpoints
     if s.tail is not None:
         c, rho = s.tail

@@ -158,8 +158,8 @@ class TestSupNorm:
                 assert sup_norm_estimate(s, grid) == direct_estimate(s, grid)
 
     def test_polynomial_fold_matches_per_coefficient_sums(self):
-        # a slice up to the grid size, np.add.at beyond it: each bucket
-        # sums its coefficients in index order, as one at a time would
+        # np.add.at is unbuffered: each bucket sums its coefficients in
+        # index order, as one at a time would, with or without wrapping
         rng = np.random.default_rng(42)
         for grid in (8, 100):
             for count in (1, 7, 8, 9, 100, 101, 350):
