@@ -7,10 +7,14 @@ every complex entry spelled as an [re, im] pair.
 
 The fixed cost of a call is paid once per process: ``main`` builds the
 argparse tree on its first call and reuses it, and looks up the
-``cmd_*`` handler by name at each call.  Documents are converted in
-bulk: each matrix is one exact type scan per nesting level and one
-``np.array`` call, and the entry-by-entry walk runs only to name the
-field of a node that the scan refuses.
+``cmd_*`` handler by name at each call.  A handler prints and writes
+nothing: it returns an ``Outcome``, and ``main`` alone renders it,
+writes ``--output`` (before printing, so a failed write prints only its
+``error:`` line) and prints; a handler's input error is a ValueError,
+which ``main`` reports.  Documents are converted in bulk: each matrix
+is one exact type scan per nesting level and one ``np.array`` call, and
+the entry-by-entry walk runs only to name the field of a node that the
+scan refuses.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import json
 import math
 import sys
 from itertools import chain
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -44,6 +49,18 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VIOLATED = 2
 EXIT_HYPOTHESES = 3
+
+
+class Outcome(NamedTuple):
+    """What a handler returns for ``main`` to print and write: the exit
+    code, the ``--format json`` payload, a function building the lines of
+    the other formats, and the document ``--output`` receives as JSON
+    (None: the printed text)."""
+
+    code: int
+    payload: object
+    lines: Callable[[], list[str]]
+    document: object = None
 
 
 class DocumentError(ValueError):
@@ -182,13 +199,6 @@ def save_instance(inst: BohrInstance, path: str) -> None:
         fh.write("\n")
 
 
-def _write_output(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        if not text.endswith("\n"):
-            fh.write("\n")
-
-
 def _fmt(x: float) -> str:
     return repr(float(x) + 0.0)
 
@@ -221,10 +231,9 @@ def _report_json(report) -> dict:
     }
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Outcome:
     if not (0.0 <= args.r < 1.0):
-        print(f"error: r must lie in [0, 1), got {args.r}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError(f"r must lie in [0, 1), got {args.r}")
     inst = load_instance(args.input)
     report = check_hypotheses(inst, tol=args.tol)
 
@@ -248,55 +257,48 @@ def cmd_verify(args) -> int:
         "critical_radius": radius,
     }
 
-    if args.format == "json":
-        text = json.dumps(payload, indent=2)
-    else:
-        lines = [f"instance: n={inst.order} mode={inst.mode}"]
-        lines += _report_lines(report)
+    def lines():
+        out = [f"instance: n={inst.order} mode={inst.mode}", *_report_lines(report)]
         if series is not None:
-            lines.append(
+            out.append(
                 f"alpha series: alpha0={_fmt(series.alpha0)}"
                 + "".join(f" |alpha_{i+1}|={_fmt(m)}" for i, m in enumerate(series.magnitudes))
                 + f" tail={_fmt(series.tail)} from m={len(series.magnitudes) + 1}"
             )
-            lines.append(
+            out.append(
                 f"check at r={_fmt(args.r)}: lhs={_fmt(check.lhs)} rhs={_fmt(check.rhs)}"
                 f" slack={_fmt(check.slack)} holds={'yes' if check.holds else 'no'}"
             )
-            lines.append(f"critical radius: {_fmt(radius)}")
-        text = "\n".join(lines)
-    print(text)
-    if args.output:
-        _write_output(args.output, text if args.format == "json" else json.dumps(payload, indent=2))
+            out.append(f"critical radius: {_fmt(radius)}")
+        return out
 
     if not report.overall:
-        return EXIT_HYPOTHESES
-    if check is not None and not check.holds:
-        return EXIT_VIOLATED
-    return EXIT_OK
+        code = EXIT_HYPOTHESES
+    elif check is not None and not check.holds:
+        code = EXIT_VIOLATED
+    else:
+        code = EXIT_OK
+    return Outcome(code, payload, lines, payload)
 
 
-def cmd_witness(args) -> int:
+def cmd_witness(args) -> Outcome:
     for flag, value, families in (
         ("--n", args.n, ("general-n", "sine")),
         ("--r-target", args.r_target, ("remark-n2",)),
     ):
         if value is not None and args.family not in families:
-            print(f"error: {flag} applies only to --family {' or '.join(families)}", file=sys.stderr)
-            return EXIT_INPUT
+            raise ValueError(f"{flag} applies only to --family {' or '.join(families)}")
     extra: list[str] = []
     params: dict = {}
     if args.family in ("general-n", "sine"):
         if args.n is None:
-            print(f"error: --family {args.family} requires --n", file=sys.stderr)
-            return EXIT_INPUT
+            raise ValueError(f"--family {args.family} requires --n")
         inst = general_witness(args.n) if args.family == "general-n" else sine_witness(args.n)
     elif args.family == "n3":
         inst = sine_witness(3)
     else:
         if args.r_target is None:
-            print("error: --family remark-n2 requires --r-target", file=sys.stderr)
-            return EXIT_INPUT
+            raise ValueError("--family remark-n2 requires --r-target")
         theta, k = remark_parameters(args.r_target)
         inst = remark_two_witness(args.r_target)
         extra = [f"theta: {_fmt(theta)}", f"k: {k}", f"violated at r: {_fmt(args.r_target)}"]
@@ -306,9 +308,6 @@ def cmd_witness(args) -> int:
     series = alpha_series(inst, tol=args.tol)
     radius = critical_radius(series, float(np.trace(inst.S).real))
 
-    if args.output:
-        save_instance(inst, args.output)
-
     payload = {
         "family": args.family,
         "n": inst.order,
@@ -317,17 +316,19 @@ def cmd_witness(args) -> int:
         **params,
     }
 
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        lines = [f"family: {args.family}", f"n: {inst.order}"] + extra
-        lines.append(f"critical radius: {_fmt(radius)}")
-        lines.append(f"hypotheses ({report.mode}): {'pass' if report.overall else 'FAIL'}")
-        print("\n".join(lines))
-    return EXIT_OK
+    def lines():
+        return [
+            f"family: {args.family}",
+            f"n: {inst.order}",
+            *extra,
+            f"critical radius: {_fmt(radius)}",
+            f"hypotheses ({report.mode}): {'pass' if report.overall else 'FAIL'}",
+        ]
+
+    return Outcome(EXIT_OK, payload, lines, instance_to_document(inst) if args.output else None)
 
 
-def cmd_radius_search(args) -> int:
+def cmd_radius_search(args) -> Outcome:
     cfg = SearchConfig(
         n=args.n,
         restarts=args.restarts,
@@ -335,27 +336,23 @@ def cmd_radius_search(args) -> int:
         seed=args.seed,
     )
     estimate = search(cfg)
-    if args.output:
-        save_instance(estimate.instance, args.output)
+    payload = {
+        "n": cfg.n,
+        "restarts": cfg.restarts,
+        "max_iters": cfg.max_iters,
+        "seed": cfg.seed,
+        "r_star": estimate.r_star,
+        "gap": estimate.gap,
+        "evaluations": estimate.evaluations,
+        "per_restart_best": list(estimate.per_restart_best),
+        "per_restart": [
+            {"iterations": rec.iterations, "evaluations": rec.evaluations, "stop": rec.stop}
+            for rec in estimate.per_restart
+        ],
+    }
 
-    if args.format == "json":
-        payload = {
-            "n": cfg.n,
-            "restarts": cfg.restarts,
-            "max_iters": cfg.max_iters,
-            "seed": cfg.seed,
-            "r_star": estimate.r_star,
-            "gap": estimate.gap,
-            "evaluations": estimate.evaluations,
-            "per_restart_best": list(estimate.per_restart_best),
-            "per_restart": [
-                {"iterations": rec.iterations, "evaluations": rec.evaluations, "stop": rec.stop}
-                for rec in estimate.per_restart
-            ],
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        lines = [
+    def lines():
+        return [
             f"n: {cfg.n}",
             f"restarts: {cfg.restarts}",
             f"max_iters: {cfg.max_iters}",
@@ -364,13 +361,14 @@ def cmd_radius_search(args) -> int:
             f"gap: {_fmt(estimate.gap)}",
             f"evaluations: {estimate.evaluations}",
             "per-restart best, stop reason (iterations, evaluations):",
+            *(
+                f"  {i}: {_fmt(rec.best)}  {rec.stop} ({rec.iterations}, {rec.evaluations})"
+                for i, rec in enumerate(estimate.per_restart)
+            ),
         ]
-        lines += [
-            f"  {i}: {_fmt(rec.best)}  {rec.stop} ({rec.iterations}, {rec.evaluations})"
-            for i, rec in enumerate(estimate.per_restart)
-        ]
-        print("\n".join(lines))
-    return EXIT_OK
+
+    document = instance_to_document(estimate.instance) if args.output else None
+    return Outcome(EXIT_OK, payload, lines, document)
 
 
 def _table_rows(max_n: int) -> list[tuple[int, float, float, float]]:
@@ -385,31 +383,23 @@ def _table_rows(max_n: int) -> list[tuple[int, float, float, float]]:
     return rows
 
 
-def cmd_table(args) -> int:
+def cmd_table(args) -> Outcome:
     if args.max_n < 2:
-        print(f"error: --max-n must be >= 2, got {args.max_n}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError(f"--max-n must be >= 2, got {args.max_n}")
     rows = _table_rows(args.max_n)
-    if args.format == "json":
-        text = json.dumps(
-            [
-                {"n": n, "formula": f, "bisection": b, "abs_diff": d}
-                for n, f, b, d in rows
-            ],
-            indent=2,
-        )
-    elif args.format == "csv":
-        lines = ["n,formula,bisection,abs_diff"]
-        lines += [f"{n},{_fmt(f)},{_fmt(b)},{_fmt(d)}" for n, f, b, d in rows]
-        text = "\n".join(lines)
-    else:
-        lines = [f"{'n':>5}  {'formula':<22} {'bisection':<22} abs_diff"]
-        lines += [f"{n:>5}  {_fmt(f):<22} {_fmt(b):<22} {_fmt(d)}" for n, f, b, d in rows]
-        text = "\n".join(lines)
-    print(text)
-    if args.output:
-        _write_output(args.output, text)
-    return EXIT_OK
+    payload = [{"n": n, "formula": f, "bisection": b, "abs_diff": d} for n, f, b, d in rows]
+
+    def lines():
+        if args.format == "csv":
+            return ["n,formula,bisection,abs_diff"] + [
+                f"{n},{_fmt(f)},{_fmt(b)},{_fmt(d)}" for n, f, b, d in rows
+            ]
+        return [f"{'n':>5}  {'formula':<22} {'bisection':<22} abs_diff"] + [
+            f"{n:>5}  {_fmt(f):<22} {_fmt(b):<22} {_fmt(d)}" for n, f, b, d in rows
+        ]
+
+    # --output receives the printed text, in the chosen format
+    return Outcome(EXIT_OK, payload, lines)
 
 
 def _parse_coeffs(text: str) -> tuple[complex, ...]:
@@ -425,17 +415,14 @@ def _parse_coeffs(text: str) -> tuple[complex, ...]:
     return tuple(out)
 
 
-def cmd_scalar(args) -> int:
+def cmd_scalar(args) -> Outcome:
     if not (0.0 <= args.r < 1.0):
-        print(f"error: r must lie in [0, 1), got {args.r}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError(f"r must lie in [0, 1), got {args.r}")
     if (args.moebius is None) == (args.coeffs is None):
-        print("error: give exactly one of --moebius or --coeffs", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("give exactly one of --moebius or --coeffs")
     if args.moebius is not None:
         if args.tail is not None:
-            print("error: --tail applies only to --coeffs", file=sys.stderr)
-            return EXIT_INPUT
+            raise ValueError("--tail applies only to --coeffs")
         series = moebius_series(args.moebius)
     else:
         tail = None
@@ -450,21 +437,15 @@ def cmd_scalar(args) -> int:
         "sup_norm_estimate": result.rhs,
         "holds": result.holds,
     }
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        print(
-            "\n".join(
-                [
-                    f"bohr sum at r={_fmt(args.r)}: {_fmt(result.lhs)}",
-                    f"sup norm estimate ({args.gridpoints} gridpoints): {_fmt(result.rhs)}",
-                    f"holds: {'yes' if result.holds else 'no'}",
-                ]
-            )
-        )
-    if args.output:
-        _write_output(args.output, json.dumps(payload, indent=2))
-    return EXIT_OK if result.holds else EXIT_VIOLATED
+
+    def lines():
+        return [
+            f"bohr sum at r={_fmt(args.r)}: {_fmt(result.lhs)}",
+            f"sup norm estimate ({args.gridpoints} gridpoints): {_fmt(result.rhs)}",
+            f"holds: {'yes' if result.holds else 'no'}",
+        ]
+
+    return Outcome(EXIT_OK if result.holds else EXIT_VIOLATED, payload, lines, payload)
 
 
 def _tolerance(text: str) -> float:
@@ -548,7 +529,22 @@ def main(argv=None) -> int:
     # built (a tracer's wrapper, say) is the one that runs
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return handler(args)
+        outcome = handler(args)
+        if args.format == "json":
+            text = json.dumps(outcome.payload, indent=2)
+        else:
+            text = "\n".join(outcome.lines())
+        # written before anything is printed, so a failed write leaves
+        # stdout empty
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                if outcome.document is None:
+                    fh.write(text)
+                else:
+                    json.dump(outcome.document, fh, indent=2)
+                fh.write("\n")
+        print(text)
+        return outcome.code
     # a DocumentError or NonFiniteError is a ValueError; OverflowError
     # stays a backstop for a float conversion that no check names
     except (ValueError, OSError, OverflowError) as exc:

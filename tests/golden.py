@@ -224,9 +224,9 @@ def _cases() -> list[tuple[list[str], bool]]:
 # --- running and digesting --------------------------------------------------
 
 
-def run(argv: list[str]) -> tuple[int, str, str, bytes | None]:
+def run(argv: list[str]) -> tuple[int, str, str, str | None]:
     """main(argv) in the current directory: (exit code, stdout, stderr,
-    the bytes of the --output file or None when none was written)."""
+    the text of the --output file or None when none was written)."""
     from bohrlab import cli
 
     if os.path.exists(OUTPUT):
@@ -239,7 +239,7 @@ def run(argv: list[str]) -> tuple[int, str, str, bytes | None]:
             code = exc.code
     written = None
     if os.path.exists(OUTPUT):
-        with open(OUTPUT, "rb") as fh:
+        with open(OUTPUT, encoding="utf-8", newline="") as fh:
             written = fh.read()
     return code, out.getvalue(), err.getvalue(), written
 
@@ -280,7 +280,7 @@ def record(argv: list[str], tolerant: bool) -> dict:
         "exit": code,
         "stdout": digest(out, tolerant),
         "stderr": digest(err, False),
-        "output": digest(None if written is None else written.decode("utf-8"), tolerant),
+        "output": digest(written, tolerant),
     }
 
 

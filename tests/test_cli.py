@@ -947,6 +947,26 @@ class TestArgumentErrors:
         assert main(["table", "--max-n", "5"]) == EXIT_INPUT
         assert capsys.readouterr().err == "error: out of memory\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "{doc}", "--r", "0.3"],
+            ["witness", "--family", "n3"],
+            ["radius-search", "--n", "2", "--restarts", "2"],
+            ["table", "--max-n", "3"],
+            ["scalar", "--moebius", "0.5", "--r", "0.3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_failed_output_write_prints_nothing(self, tmp_path, capsys, argv):
+        doc = write_instance(tmp_path, general_witness(2))
+        target = tmp_path / "missing" / "out.json"
+        code = main([a.format(doc=doc) for a in argv] + ["--output", str(target)])
+        out, err = capsys.readouterr()
+        assert_one_error_line(code, out, err)
+        assert "No such file or directory" in err
+        assert not target.parent.exists()
+
     def test_tail_flag_rejected_with_moebius(self, capsys):
         argv = ["scalar", "--moebius", "0.5", "--tail", "1", "0.5", "--r", "0.2"]
         assert main(argv) == EXIT_INPUT
@@ -1014,10 +1034,17 @@ class TestFixedCost:
 
     def test_output_file_written_only_when_asked(self, tmp_path, capsys, monkeypatch):
         path = write_instance(tmp_path, general_witness(2))
-        monkeypatch.setattr(cli, "_write_output", lambda *a: pytest.fail("wrote output"))
-        assert main(["verify", path, "--r", "0.25"]) == EXIT_OK
-        assert main(["scalar", "--moebius", "0.5", "--r", "0.3"]) == EXIT_OK
-        assert main(["table", "--max-n", "3"]) == EXIT_OK
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "instance_to_document", lambda inst: pytest.fail("built a document"))
+        for argv in (
+            ["verify", path, "--r", "0.25"],
+            ["scalar", "--moebius", "0.5", "--r", "0.3"],
+            ["table", "--max-n", "3"],
+            ["witness", "--family", "general-n", "--n", "3"],
+            ["radius-search", "--n", "2", "--restarts", "2"],
+        ):
+            assert main(argv) == EXIT_OK
+        assert os.listdir(tmp_path) == ["instance.json"]
         capsys.readouterr()
 
 

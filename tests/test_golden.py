@@ -28,6 +28,6 @@ def test_entry(entry, inputs, monkeypatch):
     monkeypatch.chdir(inputs)
     code, out, err, written = golden.run(entry["argv"])
     assert code == entry["exit"]
-    for name, text in (("stdout", out), ("stderr", err), ("output", written and written.decode("utf-8"))):
+    for name, text in (("stdout", out), ("stderr", err), ("output", written)):
         problem = golden.mismatch(text, entry[name], MANIFEST["ulps"])
         assert problem is None, f"{name}: {problem}"

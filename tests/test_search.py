@@ -261,6 +261,8 @@ class TestSearch:
             SearchConfig(n=2, restarts=0)
         with pytest.raises(ValueError):
             SearchConfig(n=2, max_iters=0)
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            SearchConfig(n=2, seed=-1)
 
     def test_deterministic_across_runs(self):
         cfg = SearchConfig(n=2, restarts=6, max_iters=400, seed=11)
