@@ -113,7 +113,7 @@ def _inputs() -> dict[str, str]:
     docs["rand4-relaxed.json"] = _random_document(rng, 4, 2, mode="relaxed")
     docs["rand4-tight.json"] = _random_document(rng, 4, 1, budget_scale=0.5)  # gap not PSD
     negative = _random_document(rng, 3, 1)
-    for row, i in zip(negative["A"], range(3)):
+    for i, row in enumerate(negative["A"]):
         row[i] = [-1.0, 0.0]
     docs["negative-trace.json"] = negative
     texts = {name: json.dumps(doc, indent=2) + "\n" for name, doc in docs.items()}
@@ -135,7 +135,9 @@ def build_inputs(directory: str) -> dict[str, str]:
 
 
 def _coeffs(rng, count):
-    return ",".join(repr(complex(round(rng.uniform(-1, 1), 6), round(rng.uniform(-1, 1), 6))) for _ in range(count))
+    return ",".join(
+        repr(complex(round(rng.uniform(-1, 1), 6), round(rng.uniform(-1, 1), 6))) for _ in range(count)
+    )
 
 
 def _cases() -> list[tuple[list[str], bool]]:
@@ -254,7 +256,7 @@ def digest(text: str | None, tolerant: bool) -> dict | None:
     return entry
 
 
-def mismatch(text: str | None, expected: dict | None, ulps: int = ULPS) -> str | None:
+def mismatch(text: str | None, expected: dict | None) -> str | None:
     """None when text matches its manifest digest, else the reason."""
     if text is None or expected is None:
         return None if text is None and expected is None else f"expected {expected!r}, got {text!r:.200}"
@@ -268,8 +270,8 @@ def mismatch(text: str | None, expected: dict | None, ulps: int = ULPS) -> str |
         a, b = float(got), float(want)
         if a == b or (math.isnan(a) and math.isnan(b)):
             continue
-        if not abs(a - b) <= ulps * math.ulp(max(1.0, abs(a), abs(b))):
-            return f"float {i} is {got}, expected {want} within {ulps} ulps"
+        if not abs(a - b) <= ULPS * math.ulp(max(1.0, abs(a), abs(b))):
+            return f"float {i} is {got}, expected {want} within {ULPS} ulps"
     return None
 
 

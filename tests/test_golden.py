@@ -29,5 +29,5 @@ def test_entry(entry, inputs, monkeypatch):
     code, out, err, written = golden.run(entry["argv"])
     assert code == entry["exit"]
     for name, text in (("stdout", out), ("stderr", err), ("output", written)):
-        problem = golden.mismatch(text, entry[name], MANIFEST["ulps"])
+        problem = golden.mismatch(text, entry[name])
         assert problem is None, f"{name}: {problem}"
