@@ -195,11 +195,15 @@ def _cases() -> list[tuple[list[str], bool]]:
         add(["scalar", "--moebius", a, "--r", r])
     add(["scalar", "--moebius", "0.6", "--r", "0.3", "--format", "json", *out])
     add(["scalar", "--moebius", "0.6", "--r", "0.3", *out])
+    add(["scalar", "--moebius", "0.6", "--r", "0.3", "--gridpoints", "1000"])
     rng = random.Random(1908)
     for count, r in ((3, "0.3"), (12, "0.9"), (40, "0.95")):
         add(["scalar", "--coeffs", _coeffs(rng, count), "--r", r])
     add(["scalar", "--coeffs", _coeffs(rng, 5), "--tail", "0.5", "-0.4", "--r", "0.3", "--format", "json"])
     add(["scalar", "--coeffs", _coeffs(rng, 7), "--tail", "0.25", "0.6", "--r", "0.25", "--gridpoints", "64", *out])
+    # one listed coefficient and a tail: a power-of-two grid and one that is not
+    for grid in ((), ("--gridpoints", "1000")):
+        add(["scalar", "--coeffs", "0.3", "--tail", "0.5", "-0.4", "--r", "0.3", *grid])
 
     # input errors: each handler's own checks, a document error, a search config error
     for argv in (
