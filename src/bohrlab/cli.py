@@ -403,6 +403,15 @@ def cmd_table(args) -> Outcome:
 
 
 def _parse_coeffs(text: str) -> tuple[complex, ...]:
+    # complex() strips only whitespace that str.strip() strips too, so
+    # a text it parses the walk below parses to the same values.  After
+    # an error the walk decides: it names the first empty or unparsable
+    # token, and it accepts tokens such as "\x1c4" whose ASCII separator
+    # characters only str.strip() removes
+    try:
+        return tuple(map(complex, text.split(",")))
+    except ValueError:
+        pass
     out = []
     for i, token in enumerate(text.split(",")):
         token = token.strip()
@@ -471,11 +480,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="bohrlab", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, summary, formats=("text", "json"), tol=None):
+    def command(name, summary, output, formats=("text", "json"), tol=None):
         # every subcommand takes --output and --format; --tol only where
         # the handler reads a tolerance
         p = sub.add_parser(name, help=summary)
-        p.add_argument("--output", default=None, help="write the machine-readable result here")
+        p.add_argument("--output", default=None, help=output)
         p.add_argument("--format", choices=formats, default="text", help="stdout format")
         if tol is not None:
             p.add_argument(
@@ -483,16 +492,18 @@ def build_parser() -> argparse.ArgumentParser:
             )
         return p
 
-    p = command("verify", "check an instance file at a radius", tol=DEFAULT_TOL)
+    json_result = "write the JSON result here (the --format json payload)"
+    instance = "write the instance document here (the input verify reads)"
+    p = command("verify", "check an instance file at a radius", json_result, tol=DEFAULT_TOL)
     p.add_argument("input", help="instance document (JSON)")
     p.add_argument("--r", type=float, required=True, help="evaluation radius in [0, 1)")
 
-    p = command("witness", "build a canonical extremal instance", tol=DEFAULT_TOL)
+    p = command("witness", "build a canonical extremal instance", instance, tol=DEFAULT_TOL)
     p.add_argument("--family", choices=("general-n", "sine", "n3", "remark-n2"), required=True)
     p.add_argument("--n", type=int, default=None, help="order for general-n and sine (n3 is sine at n=3)")
     p.add_argument("--r-target", type=float, default=None, help="violation radius for remark-n2")
 
-    p = command("radius-search", "search for the extremal radius")
+    p = command("radius-search", "search for the extremal radius", instance)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument(
@@ -503,10 +514,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0, help="random seed of the restarts' starts")
 
-    p = command("table", "tabulate n/(3n-2) against bisection", formats=("text", "json", "csv"))
+    p = command(
+        "table",
+        "tabulate n/(3n-2) against bisection",
+        "write the printed table here, in --format",
+        formats=("text", "json", "csv"),
+    )
     p.add_argument("--max-n", type=int, required=True)
 
-    p = command("scalar", "classical power-series check", tol=1e-9)
+    p = command("scalar", "classical power-series check", json_result, tol=1e-9)
     p.add_argument("--moebius", type=float, default=None, help="parameter a of (a-z)/(1-az)")
     p.add_argument("--coeffs", default=None, help="comma-separated coefficients")
     p.add_argument("--tail", nargs=2, type=float, default=None, metavar=("C", "RHO"))

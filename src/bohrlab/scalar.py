@@ -5,7 +5,9 @@ c, c*rho, c*rho^2, ... starting right after the list.  The Bohr sum
 folds the tail in closed form; the sup norm is estimated by sampling
 the boundary function on a uniform circle grid, also with the tail in
 closed form, so the estimate is a lower bound on the true norm that
-tightens as the grid refines.
+tightens as the grid refines.  The polynomial part costs one FFT per
+estimate, or none when it has at most one coefficient and the grid size
+is a power of two (the Moebius series that makes r = 1/3 sharp).
 """
 
 from __future__ import annotations
@@ -61,7 +63,11 @@ def _majorant(s: CoeffSeries) -> AlphaSeries:
     its first term becomes alpha_0 and the rest a tail from index 1.
     A modulus beyond the float range raises NonFiniteError.
     """
-    mags = [modulus(c, f"the modulus |a_{k}| of coefficient {k}") for k, c in enumerate(s.coeffs)]
+    try:
+        mags = list(map(abs, s.coeffs))
+    except OverflowError:
+        # walk again with labels, so the error names the first such coefficient
+        mags = [modulus(c, f"the modulus |a_{k}| of coefficient {k}") for k, c in enumerate(s.coeffs)]
     tail, ratio = 0.0, 1.0
     if s.tail is not None:
         c, rho = s.tail
@@ -101,22 +107,33 @@ def sup_norm_estimate(s: CoeffSeries, gridpoints: int = 4096) -> float:
 
     The grid z is built once per grid size and cached, and since
     z^gridpoints = 1 the tail power z_k^m0 is the grid point
-    z[(k m0) mod gridpoints]: no transcendental function and no complex
-    power is evaluated per call.  A call costs one FFT of gridpoints
-    buckets plus a few elementwise operations on the cached grid.
+    z[(k m0) mod gridpoints] (z itself for m0 = 1): no transcendental
+    function and no complex power is evaluated per call.  A call costs
+    one FFT of gridpoints buckets plus a few elementwise operations on
+    the cached grid.  With at most one coefficient and a power-of-two
+    gridpoints it costs no FFT: the transform of one bucket is that
+    bucket times 1/gridpoints at every point, a scaling that is exact at
+    a power of two, so the polynomial part is a known constant, taken
+    through the same two products to keep the FFT's bits.
     """
     if gridpoints < 8:
         raise ValueError(f"gridpoints must be >= 8, got {gridpoints}")
-    buckets = np.zeros(gridpoints, dtype=np.complex128)
     count = len(s.coeffs)
-    # unbuffered, so each bucket sums its coefficients in index order
-    np.add.at(buckets, np.arange(count) % gridpoints, s.coeffs)
-    values = np.fft.ifft(buckets) * gridpoints
+    if count <= 1 and gridpoints & (gridpoints - 1) == 0:
+        # exact products, except that 1/M rounds a subnormal part as the
+        # FFT's scaling does
+        values = (s.coeffs[0] if count else 0j) * (1.0 / gridpoints) * gridpoints
+    else:
+        buckets = np.zeros(gridpoints, dtype=np.complex128)
+        # unbuffered, so each bucket sums its coefficients in index order
+        np.add.at(buckets, np.arange(count) % gridpoints, s.coeffs)
+        values = np.fft.ifft(buckets) * gridpoints
     if s.tail is not None:
         c, rho = s.tail
         if c != 0:
             z = _unit_circle(gridpoints)
-            power = z[np.arange(gridpoints) * (count % gridpoints) % gridpoints]
+            m0 = count % gridpoints
+            power = z if m0 == 1 else z[np.arange(gridpoints) * m0 % gridpoints]
             values = values + c * power / (1.0 - rho * z)
     return float(np.max(np.abs(values)))
 

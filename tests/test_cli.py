@@ -797,6 +797,33 @@ class TestScalarCommand:
         assert main(["scalar", "--coeffs", "1,,2", "--r", "0.2"]) == EXIT_INPUT
         assert "coefficient 1" in capsys.readouterr().err
 
+    def test_coefficient_parsing_matches_the_token_walk(self):
+        def walk(text):
+            # one stripped token at a time, naming the first bad one
+            out = []
+            for i, token in enumerate(text.split(",")):
+                token = token.strip()
+                if not token:
+                    raise ValueError(f"coefficient {i} is empty")
+                try:
+                    out.append(complex(token))
+                except ValueError as exc:
+                    raise ValueError(f"coefficient {i}: cannot parse {token!r}") from exc
+            return tuple(out)
+
+        def outcome(parse, text):
+            try:
+                return repr(parse(text))
+            except ValueError as exc:
+                return f"ValueError: {exc}"
+
+        # "\x1c4\x1f" is rejected by complex() and parsed after str.strip()
+        tokens = [" 1 ", "\t2\n", " 1", "", " ", "1 + 2j", "1+2j", "( -0.5j )", "\xa03\u2003", "\x1c4\x1f",
+                  "-0", "nan", "-inf", "1e400", "1_000", "\u0661\u0662", "0x10", "j", "1e", "\x00", "1.5e308-2j"]
+        texts = tokens + [f"{a},{b}" for a in tokens for b in tokens] + [",".join(tokens)]
+        for text in texts:
+            assert outcome(cli._parse_coeffs, text) == outcome(walk, text), repr(text)
+
     def test_bad_radius(self, capsys):
         assert main(["scalar", "--moebius", "0.5", "--r", "1.0"]) == EXIT_INPUT
         capsys.readouterr()
@@ -895,6 +922,20 @@ class TestArgumentErrors:
         for name, opts in options.items():
             formats = ("text", "json", "csv") if name == "table" else ("text", "json")
             assert tuple(opts["--format"].choices) == formats
+
+    def test_output_help_names_what_each_subcommand_writes(self):
+        sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        helps = {name: p._option_string_actions["--output"].help for name, p in sub.choices.items()}
+        written = {
+            "verify": "JSON result",
+            "scalar": "JSON result",
+            "witness": "instance document",
+            "radius-search": "instance document",
+            "table": "printed table",
+        }
+        assert set(helps) == set(written)
+        for name, what in written.items():
+            assert what in helps[name], name
 
     def test_zero_tolerance_is_the_strict_setting(self, tmp_path, capsys):
         path = write_instance(tmp_path, general_witness(3))

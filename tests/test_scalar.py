@@ -198,6 +198,48 @@ class TestSupNorm:
         backward = [sup_norm_estimate(s, grid) for s, grid in reversed(cases)]
         assert forward == backward[::-1]
 
+    def test_one_coefficient_on_a_power_of_two_grid_needs_no_fft(self, monkeypatch):
+        # the inverse FFT of one bucket at a power-of-two size is known in
+        # advance, down to the rounding its 1/M scaling makes on a
+        # subnormal coefficient
+        tail = (0.5 - 0.2j, -0.4 + 0.1j)
+        series = [moebius_series(0.6), CoeffSeries(()), CoeffSeries((), tail)]
+        for a in (0.3, -2.5 + 1e-3j, complex(1e-310, -3e-312), complex(-0.0, 5e-324)):
+            series += [CoeffSeries((a,)), CoeffSeries((a,), tail), CoeffSeries((a,), (1e-310, 0.5))]
+        expected = [direct_estimate(s, 4096) for s in series]
+
+        def no_fft(*args, **kwargs):
+            raise AssertionError("np.fft.ifft called")
+
+        monkeypatch.setattr(np.fft, "ifft", no_fft)
+        assert [sup_norm_estimate(s, 4096) for s in series] == expected
+
+    def test_other_grid_sizes_keep_the_fft(self, monkeypatch):
+        # at M = 1000 the FFT rounds a lone constant, so it still runs
+        ifft, calls = np.fft.ifft, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return ifft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifft", counted)
+        series = [moebius_series(0.6), CoeffSeries((0.3,)), CoeffSeries((0.3,), (0.5, -0.4))]
+        for s in series:
+            expected = direct_estimate(s, 1000)
+            calls.clear()
+            assert sup_norm_estimate(s, 1000) == expected
+            assert len(calls) == 1
+
+    def test_tail_start_one_past_the_grid_matches_the_one_coefficient_series(self):
+        # count M + 1 folds to the one coefficient and starts the tail at
+        # m0 = 1, where the power is the grid itself
+        tail = (0.5 + 0.2j, 0.9 - 0.1j)
+        for grid in (8, 1000, 4096):
+            for a in (0.3, -0.7 + 0.2j):
+                one = CoeffSeries((a,), tail)
+                wrapped = CoeffSeries((a,) + (0.0,) * grid, tail)
+                assert sup_norm_estimate(wrapped, grid) == sup_norm_estimate(one, grid)
+
     def test_folding_handles_degree_above_grid(self):
         # degree 9 on an 8-point grid: z^8 = 1 on the grid, so folding
         # must reproduce the exact values
