@@ -41,9 +41,9 @@ from .series import (
     check_inequality,
     critical_radii,
     critical_radius,
-    leading_blocks,
+    gap_blocks,
 )
-from .witnesses import general_witness, remark_parameters, remark_two_witness, sine_witness
+from .witnesses import general_witness, remark_parameters, remark_two_witness, sine_witness, staircase_gap
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -373,8 +373,8 @@ def cmd_radius_search(args) -> Outcome:
 
 def _table_rows(max_n: int) -> list[tuple[int, float, float, float]]:
     # the order-n staircase is the leading n x n block of the order-max_n
-    # one, so a single build and one lockstep bisection serve every row
-    alpha0, tail, budget = leading_blocks(general_witness(max_n))
+    # one, so one pass over its gap and one lockstep bisection serve every row
+    alpha0, tail, budget = gap_blocks(*staircase_gap(max_n))
     radii = critical_radii(alpha0[1:], tail[1:], budget[1:])
     rows = []
     for n, bisected in enumerate(radii.tolist(), start=2):

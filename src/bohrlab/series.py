@@ -23,8 +23,6 @@ Mode = Literal["theorem", "relaxed"]
 _BISECT_UPPER = 1.0 - 1e-12
 _BISECT_MAX_ITERS = 200
 _BISECT_TOL = 1e-12
-# leading_blocks' screen: a float pair below this has a finite modulus
-_SCREEN_BOUND = 1e300
 
 
 class NonrealTraceError(ValueError):
@@ -107,6 +105,13 @@ class AlphaSeries:
             raise ValueError(f"ratio must lie in [0, 1], got {self.ratio}")
 
 
+def _square(P) -> np.ndarray:
+    P = np.asarray(P)
+    if P.ndim != 2 or P.shape[0] != P.shape[1]:
+        raise ValueError(f"P must be a square 2-d array, got shape {P.shape}")
+    return P
+
+
 @dataclass(frozen=True, eq=False)
 class BohrInstance:
     """One experiment: (A, S, sequence) plus the hypothesis mode it targets."""
@@ -142,9 +147,7 @@ class BohrInstance:
         a real P only the real parts are written, so every imaginary
         part is +0.0, as if the real matrix had been cast to complex.
         """
-        P = np.asarray(P)
-        if P.ndim != 2 or P.shape[0] != P.shape[1]:
-            raise ValueError(f"P must be a square 2-d array, got shape {P.shape}")
+        P = _square(P)
         n = len(P)
         idx = np.arange(n)
         a = np.zeros((n, n), dtype=np.complex128)
@@ -162,12 +165,48 @@ class BohrInstance:
         return self.A.shape[0]
 
 
+def gap_blocks(P, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """alpha_0, tail and budget Re Tr(S) of the leading k x k blocks of
+    BohrInstance.from_gap(P, shift, c), the shift being the order-n
+    matrix with ones on the superdiagonal, as three float arrays indexed
+    by k - 1.
+
+    No order-n matrix is built.  Block k has Tr(A) = k c and Tr(S) =
+    sum_{i<k} (Re P_ii + c), and the shift pairs only with A's
+    superdiagonal, so Tr(A M*) = sum_{i<k-1} -2 P_{i,i+1}: only P's
+    diagonal and superdiagonal are read, O(n) in all, and a broadcast P
+    costs O(1).  Each sum is one np.cumsum, which adds in another order
+    than alpha_series and agrees with it to rounding, bit for bit
+    wherever every partial sum is an exact float, as for integer
+    entries.  The checks and errors are alpha_series's, at the default
+    tolerance, raised for the first block that fails them: a vectorized
+    screen flags every block that might fail, and the scalar checks
+    re-run in block order on the flagged ones.  A budget that is not
+    finite raises NonFiniteError.
+    """
+    P = _square(P)
+    n = len(P)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # + 0.0 turns a -0.0 partial sum into the 0.0 that a sum from 0 gives
+        tr = np.cumsum(np.full(n, float(c))) + 0.0
+        budget = np.cumsum(P.diagonal().real + c) + 0.0
+        pairing = np.cumsum(np.concatenate(([0.0], -2.0 * P.diagonal(1)))) + 0.0
+        # Tr(A) is real, and numpy's complex abs overflows exactly where
+        # Python's does, so a block passes only if it passes the scalar checks
+        screen = (tr >= -DEFAULT_TOL) & (tr < np.inf) & (np.abs(pairing) < np.inf)
+    for k in np.flatnonzero(~screen).tolist():
+        tail = modulus(complex(pairing[k]), "|alpha_1| = |Tr(A A_1*)|")
+        AlphaSeries(_alpha0(complex(tr[k]), DEFAULT_TOL), (), tail)
+    require_finite(budget, "Re Tr(S)")
+    # Python's abs, as alpha_series takes it: numpy's complex abs may
+    # round differently
+    tail = np.fromiter(map(abs, pairing.tolist()), np.float64, n)
+    return np.maximum(tr, 0.0), tail, budget
+
+
 def trace_is_real(tr: complex, tol: float) -> bool:
     """Whether Tr(A) = tr is real within tol relative to max(1, |tr|); a
     nan imaginary part, from terms that overflowed with both signs, is not."""
-    # leading_blocks' vectorized screen passes a block without running
-    # this, _alpha0, modulus or AlphaSeries's checks: it must stay stricter
-    # than all of them
     return abs(tr.imag) <= tol * max(1.0, modulus(tr, "|Tr(A)|"))
 
 
@@ -201,54 +240,6 @@ def alpha_series(inst: BohrInstance, tol: float = DEFAULT_TOL) -> AlphaSeries:
     if inst.seq.kind == "constant":
         return AlphaSeries(alpha0, (), mags[0])
     return AlphaSeries(alpha0, mags, 0.0)
-
-
-def leading_blocks(inst: BohrInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """alpha_0, tail and budget Re Tr(S) of the leading k x k blocks of a
-    constant-sequence instance, as three float arrays indexed by k - 1.
-
-    Block k is block k-1 plus row and column k, so Tr(A), Tr(S) and the
-    pairing Tr(A M*) grow by one border each: the walk reads every entry
-    once, O(n^2) in all, where alpha_series on each block would read
-    O(n^3).  Each border is one np.vdot, written into an interleaved
-    (row, column) array whose one cumsum adds them in walk order; the
-    sums run in another order than alpha_series's and agree with it to
-    rounding, bit for bit wherever every partial sum is an exact float,
-    as for integer entries.  The checks and errors are alpha_series's,
-    at the default tolerance, raised for the first block that fails
-    them: a vectorized screen flags every block that might fail, and
-    the scalar checks re-run in block order on the flagged ones.
-    """
-    if inst.seq.kind != "constant":
-        raise ValueError("leading blocks need a constant sequence")
-    a, s, m = inst.A, inst.S, inst.seq.matrices[0]
-    n = inst.order
-    borders = np.empty(2 * n, dtype=np.complex128)
-    for k in range(n):
-        # row k up to the diagonal, then column k above it: Tr(A M*) terms
-        borders[2 * k] = np.vdot(m[k, : k + 1], a[k, : k + 1])
-        borders[2 * k + 1] = np.vdot(m[:k, k], a[:k, k])
-    with np.errstate(over="ignore", invalid="ignore"):
-        # + 0.0 turns a -0.0 partial sum into the 0.0 that a sum from 0 gives
-        tr = np.cumsum(a.diagonal()) + 0.0
-        budget = np.cumsum(s.diagonal().real) + 0.0
-        pairing = np.cumsum(borders)[1::2]
-        # a block passes only if it passes the scalar checks: finite
-        # moduli with room to spare, a real and nonnegative trace
-        screen = (
-            (np.abs(tr.real) < _SCREEN_BOUND)
-            & (np.abs(tr.imag) <= DEFAULT_TOL * np.maximum(1.0, np.abs(tr.real)))
-            & (tr.real >= -DEFAULT_TOL)
-            & (np.abs(pairing.real) < _SCREEN_BOUND)
-            & (np.abs(pairing.imag) < _SCREEN_BOUND)
-        )
-    for k in np.flatnonzero(~screen).tolist():
-        tail = modulus(complex(pairing[k]), "|alpha_1| = |Tr(A A_1*)|")
-        AlphaSeries(_alpha0(complex(tr[k]), DEFAULT_TOL), (), tail)
-    # Python's abs, as alpha_series takes it: numpy's complex abs may
-    # round differently
-    tail = np.fromiter(map(abs, pairing.tolist()), np.float64, n)
-    return np.maximum(tr.real, 0.0), tail, budget
 
 
 def bohr_sum(series: AlphaSeries, r: float) -> float:
@@ -301,7 +292,7 @@ def critical_radii(alpha0: np.ndarray, tail: np.ndarray, budget: np.ndarray) -> 
 
     Row i is the series alpha0[i], tail[i], tail[i], ... (ratio 1, tail
     from m = 1) against budget[i]; the arrays hold checked values, as
-    leading_blocks returns them.  Every row is bisected in lockstep with
+    gap_blocks returns them.  Every row is bisected in lockstep with
     the IEEE operations of critical_radius and bohr_sum and the same
     1e-12 bracket, so each radius is bit for bit critical_radius of that
     row alone, 1.0 where the sum never exceeds the budget on [0, 1).

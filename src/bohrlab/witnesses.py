@@ -50,15 +50,22 @@ def _shift(n: int) -> np.ndarray:
     return _frozen(np.eye(n, k=1, dtype=np.complex128))
 
 
+def staircase_gap(n: int) -> tuple[np.ndarray, float]:
+    """The staircase's gap P and constant c: the order-n all-ones matrix,
+    as a read-only broadcast view that allocates nothing, and c = 1."""
+    n = _check_order(n)
+    return np.broadcast_to(1.0, (n, n)), 1.0
+
+
 def general_witness(n: int) -> BohrInstance:
     """Order-n instance with critical radius exactly n/(3n-2).
 
-    The gap is the all-ones matrix and c = 1, so A has 1 on the diagonal
-    and -2 strictly above, S = 2I, and the sequence repeats the shift.
-    Then Tr(S) = 2n and every |alpha_m| = 2(n-1).
+    The gap is the all-ones matrix and c = 1 (staircase_gap), so A has 1
+    on the diagonal and -2 strictly above, S = 2I, and the sequence
+    repeats the shift.  Then Tr(S) = 2n and every |alpha_m| = 2(n-1).
     """
-    n = _check_order(n)
-    return BohrInstance.from_gap(np.broadcast_to(1.0, (n, n)), _shift(n), 1.0)
+    gap, c = staircase_gap(n)
+    return BohrInstance.from_gap(gap, _shift(len(gap)), c)
 
 
 def sine_witness(n: int) -> BohrInstance:

@@ -733,6 +733,24 @@ class TestTableCommand:
         capsys.readouterr()
         assert peak < 4 * 16 * n * n
 
+    def test_builds_no_order_max_n_matrix(self, capsys):
+        # one pass over the gap's diagonal and superdiagonal: O(max_n)
+        tracemalloc.start()
+        try:
+            assert main(["table", "--max-n", "1000", "--format", "csv"]) == EXIT_OK
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak < 2e6
+
+    def test_an_order_a_dense_build_could_not_hold(self, capsys):
+        # the order-20000 staircase's three dense matrices take 19 GB
+        assert main(["table", "--max-n", "20000", "--format", "csv"]) == EXIT_OK
+        last = capsys.readouterr().out.splitlines()[-1].split(",")
+        assert last[0] == "20000"
+        assert abs(float(last[2]) - 20000 / 59998) <= 1e-9
+
     def test_rows_match_a_build_per_order(self):
         # the route that builds each order's staircase on its own
         expected = []
@@ -968,6 +986,7 @@ class TestArgumentErrors:
         def refuse(*args, **kwargs):
             raise MemoryError("Unable to allocate 14.9 TiB for an array")
 
+        monkeypatch.setattr(cli, "gap_blocks", refuse)
         monkeypatch.setattr(cli, "general_witness", refuse)
         monkeypatch.setattr(cli, "search", refuse)
         for argv in (
@@ -981,10 +1000,10 @@ class TestArgumentErrors:
             assert captured.err == "error: Unable to allocate 14.9 TiB for an array\n"
 
     def test_a_bare_memory_error_is_named(self, capsys, monkeypatch):
-        def refuse(n):
+        def refuse(P, c):
             raise MemoryError
 
-        monkeypatch.setattr(cli, "general_witness", refuse)
+        monkeypatch.setattr(cli, "gap_blocks", refuse)
         assert main(["table", "--max-n", "5"]) == EXIT_INPUT
         assert capsys.readouterr().err == "error: out of memory\n"
 

@@ -20,8 +20,9 @@ from bohrlab.series import (
     check_inequality,
     critical_radii,
     critical_radius,
-    leading_blocks,
+    gap_blocks,
 )
+from bohrlab.witnesses import staircase_gap
 
 SQRT2 = math.sqrt(2.0)
 
@@ -133,103 +134,96 @@ class TestAlphaExtraction:
         assert alpha_series(inst).alpha0 == 0.0
 
 
-def block(inst, k):
-    """The leading k x k block of a constant-sequence instance."""
-    m = inst.seq.matrices[0][:k, :k]
-    return BohrInstance(inst.A[:k, :k], inst.S[:k, :k], SequenceSpec.constant(m), inst.mode)
+def dense_blocks(P, c):
+    """The leading k x k blocks, k = 1..n, of the order-n instance
+    from_gap(P, shift, c), built densely."""
+    n = len(P)
+    inst = BohrInstance.from_gap(P, np.eye(n, k=1), c)
+    for k in range(1, n + 1):
+        m = inst.seq.matrices[0][:k, :k]
+        yield BohrInstance(inst.A[:k, :k], inst.S[:k, :k], SequenceSpec.constant(m))
 
 
-class TestLeadingBlocks:
-    def test_integer_blocks_match_alpha_series_bit_for_bit(self):
+class TestGapBlocks:
+    def assert_bit_for_bit(self, P, c):
+        alpha0, tail, budget = (x.tolist() for x in gap_blocks(P, c))
+        assert len(alpha0) == len(tail) == len(budget) == len(P)
+        for k, sub in enumerate(dense_blocks(P, c)):
+            assert AlphaSeries(alpha0[k], (), tail[k]) == alpha_series(sub)
+            assert budget[k] == float(np.trace(sub.S).real)
+
+    def test_staircase_matches_its_dense_blocks_bit_for_bit(self):
+        for n in (1, 2, 3, 17):
+            self.assert_bit_for_bit(np.broadcast_to(1.0, (n, n)), 1.0)
+        gap, c = staircase_gap(17)
+        assert [x.tolist() for x in gap_blocks(gap, c)] == [x.tolist() for x in gap_blocks(np.ones((17, 17)), 1)]
+
+    def test_integer_gap_matches_its_dense_blocks_bit_for_bit(self):
         rng = np.random.default_rng(5)
-        n = 12
-        a = np.triu(rng.integers(-4, 5, (n, n)) + 1j * rng.integers(-4, 5, (n, n)), 1)
-        a += np.diag(rng.integers(1, 4, n))
-        m = np.triu(rng.integers(-3, 4, (n, n)) + 1j * rng.integers(-3, 4, (n, n)), 1)
-        s = np.diag(rng.integers(1, 9, n)).astype(complex)
-        inst = BohrInstance(a, s, SequenceSpec.constant(m))
-        alpha0, tail, budget = (x.tolist() for x in leading_blocks(inst))
-        assert len(alpha0) == len(tail) == len(budget) == n
-        for k in range(1, n + 1):
-            sub = block(inst, k)
-            assert AlphaSeries(alpha0[k - 1], (), tail[k - 1]) == alpha_series(sub)
-            assert budget[k - 1] == float(np.trace(sub.S).real)
+        x = rng.integers(-4, 5, (12, 12)) + 1j * rng.integers(-4, 5, (12, 12))
+        self.assert_bit_for_bit(x + x.conj().T, 3.0)
 
-    def test_float_blocks_match_alpha_series_to_rounding(self):
-        rng = np.random.default_rng(6)
+    def test_sine_gap_matches_its_dense_blocks_to_rounding(self):
         n = 30
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        np.fill_diagonal(a, rng.random(n))
-        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        inst = BohrInstance(a, np.diag(rng.random(n) + 10.0), SequenceSpec.constant(m), "relaxed")
-        alpha0, tail, budget = leading_blocks(inst)
-        for k in range(1, n + 1):
-            ref = alpha_series(block(inst, k))
-            assert alpha0[k - 1] == pytest.approx(ref.alpha0, rel=1e-13, abs=1e-13)
-            assert tail[k - 1] == pytest.approx(ref.tail, rel=1e-13, abs=1e-13)
-            assert budget[k - 1] == pytest.approx(float(np.trace(inst.S[:k, :k]).real), rel=1e-14)
+        x = np.sin(np.arange(1, n + 1) * np.pi / (n + 1)) / np.sin(np.pi / (n + 1))
+        P = np.outer(x, x)
+        alpha0, tail, budget = gap_blocks(P, 2.0)
+        for k, sub in enumerate(dense_blocks(P, 2.0)):
+            ref = alpha_series(sub)
+            assert alpha0[k] == pytest.approx(ref.alpha0, rel=1e-13)
+            assert tail[k] == pytest.approx(ref.tail, rel=1e-13, abs=1e-13)
+            assert budget[k] == pytest.approx(float(np.trace(sub.S).real), rel=1e-13)
 
-    def test_trace_checks_stop_at_the_first_bad_block(self):
-        shift = SequenceSpec.constant(np.eye(3, k=1))
-        cases = (([1.0, 1j, 0.0], NonrealTraceError), ([1.0, -2.0, 0.0], NegativeTraceError))
-        for diagonal, error in cases:
-            inst = BohrInstance(np.diag(diagonal), np.eye(3), shift)
-            assert leading_blocks(block(inst, 1))[0].tolist() == [1.0]
-            with pytest.raises(error):
-                leading_blocks(block(inst, 2))
+    def test_reads_only_the_diagonal_and_superdiagonal(self):
+        P = np.triu(np.tril(np.full((6, 6), 2.0), 1), -1)
+        noise = np.random.default_rng(7).standard_normal((6, 6))
+        noisy = P + np.triu(noise, 2) + np.tril(noise, -2)
+        for ours, theirs in zip(gap_blocks(P, 1.0), gap_blocks(noisy, 1.0)):
+            assert ours.tolist() == theirs.tolist()
 
-    def test_tiny_negative_trace_clamps_to_zero(self):
-        zero = SequenceSpec.constant(np.zeros((2, 2)))
-        inst = BohrInstance(np.diag([-1e-13, 0.0]), np.eye(2), zero)
-        assert leading_blocks(inst)[0].tolist() == [0.0, 0.0]
+    def test_a_negative_trace_raises_and_a_tiny_one_clamps(self):
+        with pytest.raises(NegativeTraceError):
+            gap_blocks(np.zeros((3, 3)), -1.0)
+        # within tolerance, as alpha_series clamps it
+        assert gap_blocks(np.zeros((2, 2)), -1e-13)[0].tolist() == [0.0, 0.0]
+
+    def test_the_first_bad_block_decides_the_error(self):
+        # c = -1e-11 takes Tr(A) below -1e-10 from about block 11 on; a
+        # pairing that overflows from block `at` on comes before or after
+        for at, error, message in ((3, ValueError, "tail must be finite"), (15, NegativeTraceError, "negative")):
+            P = np.zeros((20, 20))
+            P[at - 2, at - 1] = P[at - 1, at - 2] = 1e308
+            with pytest.raises(error, match=message):
+                gap_blocks(P, -1e-11)
 
     def test_names_an_overflowing_modulus(self):
-        shift = np.eye(2, k=1)
-        huge = complex(1.5e308, 1.5e308)
-        inst = BohrInstance(shift * huge, np.eye(2), SequenceSpec.constant(shift))
-        assert leading_blocks(block(inst, 1))[1].tolist() == [0.0]
-        with pytest.raises(NonFiniteError, match=r"^\|alpha_1\| = \|Tr\(A A_1\*\)\| is not"):
-            leading_blocks(inst)
+        P = np.zeros((2, 2), dtype=complex)
+        P[0, 1] = complex(-0.75e308, -0.75e308)
+        P[1, 0] = P[0, 1].conjugate()
+        assert gap_blocks(P[:1, :1], 0.0)[1].tolist() == [0.0]
+        last = list(dense_blocks(P, 0.0))[-1]
+        for route in (lambda: alpha_series(last), lambda: gap_blocks(P, 0.0)):
+            with pytest.raises(NonFiniteError, match=r"^\|alpha_1\| = \|Tr\(A A_1\*\)\| is not"):
+                route()
 
-    def test_first_bad_block_decides_the_error(self):
-        # block 1 overflows its tail; block 2 cancels that pairing and has
-        # a nonreal trace, so only block order decides which error is due
-        huge = complex(1.5e308, 1.5e308)
-        a = np.array([[1.0, 1.0], [0.0, 1j]])
-        m = np.array([[huge, -huge], [0.0, 0.0]])
-        inst = BohrInstance(a, np.eye(2), SequenceSpec.constant(m))
-        with pytest.raises(NonrealTraceError):
-            alpha_series(block(inst, 2))
-        with pytest.raises(NonFiniteError, match=r"^\|alpha_1\| = \|Tr\(A A_1\*\)\| is not"):
-            leading_blocks(inst)
+    def test_overflowing_sums_raise(self):
+        superdiagonal = np.diag([0.6e308, 0.6e308], 1)
+        P = superdiagonal + superdiagonal.T
+        last = list(dense_blocks(P, 1.0))[-1]
+        for route in (lambda: alpha_series(last), lambda: gap_blocks(P, 1.0)):
+            with pytest.raises(ValueError, match="tail must be finite"):
+                route()
+        with pytest.raises(NonFiniteError, match=r"^Re Tr\(S\) is not finite"):
+            gap_blocks(np.diag([1e308, 1e308]), 0.0)
 
     def test_sums_start_from_positive_zero(self):
-        # as a sum from 0 does: no -0.0 reaches a budget or an error message
-        zero = SequenceSpec.constant(np.zeros((1, 1)))
-        inst = BohrInstance(np.zeros((1, 1)), np.full((1, 1), -0.0), zero)
-        assert leading_blocks(inst)[2][0].hex() == "0x0.0p+0"
-        inst = BohrInstance(np.full((1, 1), complex(-0.0, 1.0)), np.eye(1), zero)
-        with pytest.raises(NonrealTraceError, match=r"^Tr\(A\) = 1j has"):
-            leading_blocks(inst)
+        # as a sum from 0 does: no -0.0 reaches a budget or a radius
+        for values in gap_blocks(np.full((1, 1), -0.0), -0.0):
+            assert values[0].hex() == "0x0.0p+0"
 
-    def test_overflowing_sums_raise_alpha_series_errors(self):
-        # a trace whose sum overflows, and pairings whose real or
-        # imaginary part does
-        zero = SequenceSpec.constant(np.zeros((2, 2)))
-        cases = [(BohrInstance(np.diag([1e308, 1e308]), np.eye(2), zero), "alpha0 must be finite, got inf")]
-        for part in (1.0, 1j):
-            m = np.array([[1.0, 1.0], [0.0, 0.0]]) * 1e308 * part
-            cases.append((BohrInstance(np.ones((2, 2)), np.eye(2), SequenceSpec.constant(m)), "tail must be finite"))
-        for inst, message in cases:
-            with pytest.raises(ValueError, match=message):
-                alpha_series(inst)
-            with pytest.raises(ValueError, match=message):
-                leading_blocks(inst)
-
-    def test_needs_a_constant_sequence(self):
-        inst = BohrInstance(np.eye(2), np.eye(2), SequenceSpec.finite([np.eye(2, k=1)]))
-        with pytest.raises(ValueError, match="constant sequence"):
-            leading_blocks(inst)
+    def test_needs_a_square_gap(self):
+        with pytest.raises(ValueError, match="square"):
+            gap_blocks(np.ones((2, 3)), 1.0)
 
 
 class TestBohrSum:
