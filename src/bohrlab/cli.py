@@ -434,10 +434,7 @@ def cmd_scalar(args) -> Outcome:
             raise ValueError("--tail applies only to --coeffs")
         series = moebius_series(args.moebius)
     else:
-        tail = None
-        if args.tail is not None:
-            tail = (args.tail[0], args.tail[1])
-        series = CoeffSeries(_parse_coeffs(args.coeffs), tail)
+        series = CoeffSeries(_parse_coeffs(args.coeffs), args.tail)
 
     result = classical_verify(series, args.r, gridpoints=args.gridpoints, tol=args.tol)
     payload = {

@@ -133,8 +133,8 @@ def _gap_psd_condition(a: np.ndarray, s: np.ndarray, tol: float) -> ConditionRep
     """
     gap = require_finite(re_part(s - re_part(a)), "the gap S - Re(A)")
     values = require_finite(hermitian_eigenvalues(gap), "an eigenvalue of the gap S - Re(A)")
-    lam_min = float(values[-1]) if values.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(values))) if values.size else 0.0)
+    lam_min = float(values[-1])
+    scale = max(1.0, float(np.max(np.abs(values))))
     floor = (tol + values.size * _EPS) * scale
     return ConditionReport("gap_psd", bool(lam_min >= -floor), lam_min)
 

@@ -129,12 +129,12 @@ def sup_norm_estimate(s: CoeffSeries, gridpoints: int = 4096) -> float:
         np.add.at(buckets, np.arange(count) % gridpoints, s.coeffs)
         values = np.fft.ifft(buckets) * gridpoints
     if s.tail is not None:
+        # a zero c adds a signed zero at every point, which no modulus sees
         c, rho = s.tail
-        if c != 0:
-            z = _unit_circle(gridpoints)
-            m0 = count % gridpoints
-            power = z if m0 == 1 else z[np.arange(gridpoints) * m0 % gridpoints]
-            values = values + c * power / (1.0 - rho * z)
+        z = _unit_circle(gridpoints)
+        m0 = count % gridpoints
+        power = z if m0 == 1 else z[np.arange(gridpoints) * m0 % gridpoints]
+        values = values + c * power / (1.0 - rho * z)
     return float(np.max(np.abs(values)))
 
 

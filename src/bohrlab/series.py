@@ -21,8 +21,11 @@ from .linalg import DEFAULT_TOL, as_complex_matrix, modulus, require_finite, tra
 Mode = Literal["theorem", "relaxed"]
 
 _BISECT_UPPER = 1.0 - 1e-12
-_BISECT_MAX_ITERS = 200
-_BISECT_TOL = 1e-12
+# the fewest halvings of [0, _BISECT_UPPER] that leave a bracket at most
+# 1e-12 wide: the width is (1 - 1e-12) / 2^39, about 1.82e-12, after 39
+# and about 9.09e-13 after 40.  Rounding a midpoint moves a width by
+# about 1e-16 a step, far too little to cross either bound
+_HALVINGS = 40
 
 
 class NonrealTraceError(ValueError):
@@ -262,10 +265,11 @@ def bohr_sum(series: AlphaSeries, r: float) -> float:
 def critical_radius(series: AlphaSeries, budget: float) -> float:
     """sup{ r in [0,1) : bohr_sum(series, r) <= budget }, by bisection.
 
-    Returns 1.0 when the sum never exceeds the budget on [0, 1).  The
-    bisection stops once its bracket is at most 1e-12 wide and returns
-    the bracket's midpoint, so the result is within 1e-12 of the true
-    supremum (bohr_sum is nondecreasing in r).
+    Returns 1.0 when the sum never exceeds the budget on [0, 1).
+    Otherwise the bisection halves [0, 1 - 1e-12] exactly _HALVINGS = 40
+    times, which leaves a bracket at most 1e-12 wide, and returns its
+    midpoint, so the result is within 1e-12 of the true supremum
+    (bohr_sum is nondecreasing in r).  That is 41 bohr_sum calls in all.
     """
     if budget < series.alpha0:
         raise BudgetBelowAlpha0Error(
@@ -275,14 +279,12 @@ def critical_radius(series: AlphaSeries, budget: float) -> float:
     if bohr_sum(series, hi) <= budget:
         return 1.0
     lo = 0.0
-    iters = 0
-    while hi - lo > _BISECT_TOL and iters < _BISECT_MAX_ITERS:
+    for _ in range(_HALVINGS):
         mid = 0.5 * (lo + hi)
         if bohr_sum(series, mid) <= budget:
             lo = mid
         else:
             hi = mid
-        iters += 1
     return 0.5 * (lo + hi)
 
 
@@ -292,10 +294,11 @@ def critical_radii(alpha0: np.ndarray, tail: np.ndarray, budget: np.ndarray) -> 
 
     Row i is the series alpha0[i], tail[i], tail[i], ... (ratio 1, tail
     from m = 1) against budget[i]; the arrays hold checked values, as
-    gap_blocks returns them.  Every row is bisected in lockstep with
-    the IEEE operations of critical_radius and bohr_sum and the same
-    1e-12 bracket, so each radius is bit for bit critical_radius of that
-    row alone, 1.0 where the sum never exceeds the budget on [0, 1).
+    gap_blocks returns them.  Every row is halved in lockstep the same
+    _HALVINGS times, with the IEEE operations of critical_radius and
+    bohr_sum, so each radius is bit for bit critical_radius of that row
+    alone, within 1e-12 of the supremum, and 1.0 where the sum never
+    exceeds the budget on [0, 1).
     Raises BudgetBelowAlpha0Error for the first row whose budget is
     below its alpha0.  One series is faster through critical_radius: a
     numpy step costs more than a Python one on a single row.
@@ -309,18 +312,12 @@ def critical_radii(alpha0: np.ndarray, tail: np.ndarray, budget: np.ndarray) -> 
     lo = np.zeros(alpha0.shape)
     hi = np.full(alpha0.shape, _BISECT_UPPER)
     fits = alpha0 + tail * hi / (1.0 - hi) <= budget
-    lo[fits] = hi[fits] = 1.0
-    live = np.flatnonzero(~fits)
-    for _ in range(_BISECT_MAX_ITERS):
-        live = live[hi[live] - lo[live] > _BISECT_TOL]
-        if not live.size:
-            break
-        left, right = lo[live], hi[live]
-        mid = 0.5 * (left + right)
-        inside = alpha0[live] + tail[live] * mid / (1.0 - mid) <= budget[live]
-        lo[live] = np.where(inside, mid, left)
-        hi[live] = np.where(inside, right, mid)
-    return 0.5 * (lo + hi)
+    for _ in range(_HALVINGS):
+        mid = 0.5 * (lo + hi)
+        inside = alpha0 + tail * mid / (1.0 - mid) <= budget
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
+    return np.where(fits, 1.0, 0.5 * (lo + hi))
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             as_complex_matrix(np.zeros((2, 3)))
 
+    def test_rejects_order_zero(self):
+        with pytest.raises(ValueError, match="must have order >= 1"):
+            as_complex_matrix(np.zeros((0, 0)))
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             as_complex_matrix(np.array([[np.nan, 0], [0, 0]]))

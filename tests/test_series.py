@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from bohrlab import series as series_module
 from bohrlab.linalg import NonFiniteError
 from bohrlab.series import (
     AlphaSeries,
@@ -78,6 +79,12 @@ class TestAlphaSeries:
             for bad in (math.nan, math.inf, np.float64(math.nan)):
                 with pytest.raises(ValueError, match=f"{field} must be finite"):
                     AlphaSeries(**{"alpha0": 1.0, field: bad})
+
+    def test_ratio_outside_unit_interval_rejected(self):
+        for bad in (-0.5, -1e-300, 1.0 + 1e-15, 2.0, math.nan):
+            with pytest.raises(ValueError, match="ratio must lie in"):
+                AlphaSeries(1.0, (), 1.0, bad)
+        assert AlphaSeries(1.0, (), 1.0, 0.0).ratio == 0.0
 
     def test_negative_magnitude_rejected(self):
         with pytest.raises(ValueError):
@@ -323,6 +330,55 @@ class TestCriticalRadius:
         r1 = critical_radius(series, 5.0)
         r2 = critical_radius(scaled, 35.0)
         assert abs(r1 - r2) <= 1e-11
+
+
+class TestHalvings:
+    """Every bisected radius takes exactly 40 halvings: one bohr_sum at the
+    upper end, then one per midpoint."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def counted(series, r, real=bohr_sum):
+            calls.append(r)
+            return real(series, r)
+
+        monkeypatch.setattr(series_module, "bohr_sum", counted)
+        return calls
+
+    def bisected_calls(self, calls, series, budget):
+        """bohr_sum calls of one solve, or None when it returns 1.0."""
+        calls.clear()
+        radius = critical_radius(series, budget)
+        return None if radius == 1.0 else len(calls)
+
+    def test_random_series(self, calls):
+        rng = np.random.default_rng(31)
+        counts = []
+        for _ in range(400):
+            scale = 10.0 ** rng.uniform(-300, 300)
+            series = AlphaSeries(
+                float(rng.uniform(0, 3) * scale),
+                tuple((rng.uniform(0, 3, int(rng.integers(0, 4))) * scale).tolist()),
+                float(rng.uniform(0, 3) * scale) if rng.random() < 0.8 else 0.0,
+                float(rng.uniform(0, 1)) if rng.random() < 0.5 else 1.0,
+            )
+            budget = series.alpha0 + float(rng.uniform(0, 5) * scale)
+            counts.append(self.bisected_calls(calls, series, budget))
+        bisected = [c for c in counts if c is not None]
+        assert len(bisected) > 100
+        assert set(bisected) == {41}
+
+    def test_special_rows(self, calls):
+        counts = []
+        for alpha0, tail, budget in zip(*TestCriticalRadii.special_rows()):
+            series = AlphaSeries(float(alpha0), (), float(tail))
+            if budget >= alpha0:
+                counts.append(self.bisected_calls(calls, series, float(budget)))
+        bisected = [c for c in counts if c is not None]
+        assert len(bisected) == 10
+        assert set(bisected) == {41}
 
 
 def one_row(alpha0, tail, budget):
