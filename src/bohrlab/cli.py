@@ -14,16 +14,21 @@ writes ``--output`` (before printing, so a failed write prints only its
 which ``main`` reports.  Documents are converted in bulk: each matrix
 is one exact type scan per nesting level and one ``np.array`` call, and
 the entry-by-entry walk runs only to name the field of a node that the
-scan refuses.
+scan refuses.  One writer, ``_encode``, writes every JSON text (the
+``--format json`` payload, an ``--output`` document, ``save_instance``)
+with the bytes of ``json.dumps(obj, indent=2)``; a matrix literal is one
+``%``-format template per order, filled by ``float.__repr__``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -136,18 +141,18 @@ def _matrix_from_literal(node, n: int, path: str) -> np.ndarray:
     return values.view(np.complex128).reshape(n, n)
 
 
-def instance_to_document(inst: BohrInstance) -> dict:
+def _document(inst: BohrInstance, literal: Callable = np.asarray) -> dict:
+    """The instance document with each matrix m as literal(m); by default
+    the array m itself, which _encode writes as its literal."""
     if inst.seq.kind == "constant":
-        seq = {"type": "constant", "matrix": _matrix_to_literal(inst.seq.matrices[0])}
+        seq = {"type": "constant", "matrix": literal(inst.seq.matrices[0])}
     else:
-        seq = {"type": "list", "matrices": [_matrix_to_literal(m) for m in inst.seq.matrices]}
-    return {
-        "n": inst.order,
-        "mode": inst.mode,
-        "A": _matrix_to_literal(inst.A),
-        "S": _matrix_to_literal(inst.S),
-        "sequence": seq,
-    }
+        seq = {"type": "list", "matrices": [literal(m) for m in inst.seq.matrices]}
+    return {"n": inst.order, "mode": inst.mode, "A": literal(inst.A), "S": literal(inst.S), "sequence": seq}
+
+
+def instance_to_document(inst: BohrInstance) -> dict:
+    return _document(inst, _matrix_to_literal)
 
 
 def document_to_instance(doc) -> BohrInstance:
@@ -193,9 +198,82 @@ def load_instance(path: str) -> BohrInstance:
     return document_to_instance(doc)
 
 
+@functools.lru_cache(maxsize=4)
+def _literal_template(n: int, indent: str) -> str:
+    """The %-format template of an order-n matrix literal as _encode
+    lays it out at indent, one %r per float."""
+    row_indent, entry_indent, leaf_indent = indent + "  ", indent + "    ", indent + "      "
+    entry = f"[{leaf_indent}%r,{leaf_indent}%r{entry_indent}]"
+    row = f"[{entry_indent}" + f",{entry_indent}".join([entry] * n) + f"{row_indent}]"
+    return f"[{row_indent}" + f",{row_indent}".join([row] * n) + f"{indent}]"
+
+
+def _json_float(x: float) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0.0 else "-Infinity"
+
+
+# the exact scalar types, each with json's spelling
+_CONSTANTS = {True: "true", False: "false", None: "null"}.__getitem__
+_SCALARS = {
+    str: encode_basestring_ascii, float: _json_float, int: int.__repr__, bool: _CONSTANTS, type(None): _CONSTANTS
+}
+
+
+def _encode(obj, write, indent: str = "\n") -> None:
+    """Pass the text of json.dumps(obj, indent=2) to write, piece by piece.
+
+    The same types are tested in the same order and spelled the same
+    way: float.__repr__ for finite floats, NaN and Infinity for the
+    rest, int.__repr__, json's own ASCII string escape, and subclasses
+    as their base types; object keys must be strings.  A complex matrix
+    of a _document is written as the literal _matrix_to_literal makes
+    of it, in one piece: the template of its order and indent, filled.
+    """
+    spell = _SCALARS.get(type(obj))
+    if spell is not None:
+        return write(spell(obj))
+    if isinstance(obj, np.ndarray):
+        text = _literal_template(len(obj), indent) % tuple(obj.ravel().view(np.float64).tolist())
+        if "n" not in text:  # no inf or nan, which json spells otherwise
+            return write(text)
+        obj = _matrix_to_literal(obj)
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return write("[]")
+        sep = "[" + inner
+        for x in obj:
+            write(sep)
+            _encode(x, write, inner)
+            sep = "," + inner
+        return write(indent + "]")
+    if isinstance(obj, dict):
+        if not obj:
+            return write("{}")
+        sep = "{" + inner
+        for k, v in obj.items():
+            write(f"{sep}{encode_basestring_ascii(k)}: ")
+            _encode(v, write, inner)
+            sep = "," + inner
+        return write(indent + "}")
+    for base in (str, int, float):
+        if isinstance(obj, base):
+            return write(_SCALARS[base](obj))
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _dumps(obj) -> str:
+    """json.dumps(obj, indent=2): the one JSON writer's text as one string."""
+    parts: list[str] = []
+    _encode(obj, parts.append)
+    return "".join(parts)
+
+
 def save_instance(inst: BohrInstance, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance_to_document(inst), fh, indent=2)
+        _encode(_document(inst), fh.write)
         fh.write("\n")
 
 
@@ -242,7 +320,7 @@ def cmd_verify(args) -> Outcome:
     check = None
     if report.condition("nonnegative_trace_a").passed:
         series = alpha_series(inst, tol=args.tol)
-        check = check_inequality(inst, args.r, tol=args.tol)
+        check = check_inequality(inst, args.r, tol=args.tol, series=series)
         try:
             radius = critical_radius(series, check.rhs)
         except BudgetBelowAlpha0Error:
@@ -325,7 +403,7 @@ def cmd_witness(args) -> Outcome:
             f"hypotheses ({report.mode}): {'pass' if report.overall else 'FAIL'}",
         ]
 
-    return Outcome(EXIT_OK, payload, lines, instance_to_document(inst) if args.output else None)
+    return Outcome(EXIT_OK, payload, lines, _document(inst) if args.output else None)
 
 
 def cmd_radius_search(args) -> Outcome:
@@ -367,7 +445,7 @@ def cmd_radius_search(args) -> Outcome:
             ),
         ]
 
-    document = instance_to_document(estimate.instance) if args.output else None
+    document = _document(estimate.instance) if args.output else None
     return Outcome(EXIT_OK, payload, lines, document)
 
 
@@ -544,7 +622,7 @@ def main(argv=None) -> int:
     try:
         outcome = handler(args)
         if args.format == "json":
-            text = json.dumps(outcome.payload, indent=2)
+            text = _dumps(outcome.payload)
         else:
             text = "\n".join(outcome.lines())
         # written before anything is printed, so a failed write leaves
@@ -554,7 +632,7 @@ def main(argv=None) -> int:
                 if outcome.document is None:
                     fh.write(text)
                 else:
-                    json.dump(outcome.document, fh, indent=2)
+                    _encode(outcome.document, fh.write)
                 fh.write("\n")
         print(text)
         return outcome.code

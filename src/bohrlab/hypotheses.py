@@ -17,6 +17,7 @@ orthogonality whose bound overflows fails its condition.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,7 +32,6 @@ from .linalg import (
     hermitian_eigenvalues,
     is_strictly_upper,
     is_upper,
-    max_abs,
     modulus,
     operator_norm,
     re_part,
@@ -97,17 +97,39 @@ def _product_trace(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.einsum("ij,ji->", a, b))
 
 
-def _trace_orthogonal(x: np.ndarray, a: np.ndarray, tol: float, what: str) -> tuple[float, bool]:
-    """|Tr(x a)| and whether it vanishes: within_tol with the
-    Cauchy-Schwarz bound ||x||_F ||a||_F on |Tr(x a)| as scale.
+def _trace_orthogonal(
+    x: np.ndarray, a: np.ndarray, scale: float, tol: float, what: str
+) -> tuple[float, bool]:
+    """|Tr(x a)| and whether it vanishes: within_tol with scale the
+    Cauchy-Schwarz bound ||x||_F ||a||_F on |Tr(x a)|.
 
     A scale that overflows, from a Frobenius norm beyond the float range
     or the product of two, decides nothing, so the test fails; a modulus
     that overflows raises NonFiniteError naming `what`.
     """
     t = modulus(_product_trace(x, a), f"|{what}|")
-    scale = frobenius_norm(x) * frobenius_norm(a)
     return t, math.isfinite(scale) and within_tol(t, scale, tol)
+
+
+@functools.lru_cache(maxsize=64)
+def _masks(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Boolean masks of the order-n entries below the diagonal, on or
+    below it, and off it."""
+    row, col = np.indices((n, n), sparse=True)
+    masks = (row > col, row >= col, row != col)
+    for m in masks:
+        m.setflags(write=False)
+    return masks
+
+
+def _deviation(a: np.ndarray, mask: np.ndarray, tol: float, other: float = 0.0) -> tuple[float, bool]:
+    """The deviation max(largest masked |a_ij|, other) and whether it is
+    within tol of max|a|, both read off one pass of np.abs.  The masked
+    maximum, 0 for an empty mask, is max_abs of the matrix with every
+    other entry zeroed, as np.tril or np.diag would build it."""
+    moduli = np.abs(a)
+    dev = max(float(moduli.max(where=mask, initial=0.0)), other)
+    return dev, entries_within_tol(dev, a, tol, float(moduli.max()))
 
 
 def _trace_condition(a: np.ndarray, tol: float) -> ConditionReport:
@@ -132,9 +154,11 @@ def _gap_psd_condition(a: np.ndarray, s: np.ndarray, tol: float) -> ConditionRep
     rounding is allowed even at tol = 0.
     """
     gap = require_finite(re_part(s - re_part(a)), "the gap S - Re(A)")
-    values = require_finite(hermitian_eigenvalues(gap), "an eigenvalue of the gap S - Re(A)")
+    # a re_part is Hermitian bit for bit, so the Hermitian test is skipped
+    values = require_finite(hermitian_eigenvalues(gap, check=False), "an eigenvalue of the gap S - Re(A)")
     lam_min = float(values[-1])
-    scale = max(1.0, float(np.max(np.abs(values))))
+    # the values are sorted, so the largest modulus is at an end
+    scale = max(1.0, abs(float(values[0])), abs(lam_min))
     floor = (tol + values.size * _EPS) * scale
     return ConditionReport("gap_psd", bool(lam_min >= -floor), lam_min)
 
@@ -154,21 +178,21 @@ def check_theorem_hypotheses(inst: BohrInstance, tol: float = DEFAULT_TOL) -> Hy
     """
     a, s = inst.A, inst.S
     mats = inst.seq.matrices
+    below, lower, off = _masks(len(a))
     conds = []
 
-    low_dev = max_abs(np.tril(a, -1))
-    conds.append(ConditionReport("upper_triangular_a", entries_within_tol(low_dev, a, tol), -low_dev))
+    low_dev, low_ok = _deviation(a, below, tol)
+    conds.append(ConditionReport("upper_triangular_a", low_ok, -low_dev))
     conds.append(_trace_condition(a, tol))
 
-    diag_s = np.diagonal(s)
-    s_dev = max(max_abs(s - np.diag(diag_s)), max_abs(np.imag(diag_s)))
-    conds.append(ConditionReport("real_diagonal_s", entries_within_tol(s_dev, s, tol), -s_dev))
+    s_dev, s_ok = _deviation(s, off, tol, float(np.abs(s.diagonal().imag).max()))
+    conds.append(ConditionReport("real_diagonal_s", s_ok, -s_dev))
     conds.append(_gap_psd_condition(a, s, tol))
 
-    low = [max_abs(np.tril(m)) for m in mats]
-    up_dev = max(low, default=0.0)
-    up_ok = all(entries_within_tol(dev, m, tol) for dev, m in zip(low, mats))
-    conds.append(ConditionReport("strictly_upper_sequence", bool(up_ok), -up_dev))
+    low = [_deviation(m, lower, tol) for m in mats]
+    up_dev = max((dev for dev, _ in low), default=0.0)
+    up_ok = all(ok for _, ok in low)
+    conds.append(ConditionReport("strictly_upper_sequence", up_ok, -up_dev))
     conds.append(_sequence_norm_condition(mats, tol))
     return HypothesisReport("theorem", tuple(conds))
 
@@ -184,11 +208,13 @@ def check_relaxed_hypotheses(inst: BohrInstance, tol: float = DEFAULT_TOL) -> Hy
     conds.append(ConditionReport("hermitian_s", entries_within_tol(herm_dev, s, tol), -herm_dev))
     conds.append(_gap_psd_condition(a, s, tol))
 
+    norms = [frobenius_norm(m) for m in mats]
     for name, left, what in (("orthogonal_to_s", s, "S"), ("orthogonal_to_a", a, "A")):
         devs = [0.0]
         ok = True
-        for i, m in enumerate(mats, 1):
-            t, orthogonal = _trace_orthogonal(left, m, tol, f"Tr({what} A_{i})")
+        left_norm = frobenius_norm(left)
+        for i, (m, norm) in enumerate(zip(mats, norms), 1):
+            t, orthogonal = _trace_orthogonal(left, m, left_norm * norm, tol, f"Tr({what} A_{i})")
             devs.append(t)
             ok = ok and orthogonal
         # np.max, unlike max, keeps the nan of a trace that overflowed as
@@ -222,4 +248,4 @@ def orthogonality_check(x, a) -> bool:
         raise PreconditionViolatedError("x must be upper triangular")
     if not is_strictly_upper(a):
         raise PreconditionViolatedError("a must be strictly upper triangular")
-    return _trace_orthogonal(x, a, DEFAULT_TOL, "Tr(x a)")[1]
+    return _trace_orthogonal(x, a, frobenius_norm(x) * frobenius_norm(a), DEFAULT_TOL, "Tr(x a)")[1]

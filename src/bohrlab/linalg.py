@@ -129,15 +129,17 @@ def within_tol(dev: float, scale: float, tol: float) -> bool:
     return bool(dev <= tol * max(1.0, scale))
 
 
-def entries_within_tol(dev: float, a: np.ndarray, tol: float) -> bool:
-    """within_tol with scale max|a|, the rule of every matrix condition.
+def entries_within_tol(dev: float, a: np.ndarray, tol: float, scale: float | None = None) -> bool:
+    """within_tol with scale max|a|, the rule of every matrix condition;
+    a caller that has max|a| already passes it as scale.
 
     A finite entry whose modulus is beyond the float range makes max|a|
     inf, and an infinite bound would pass any deviation; the bound
     tol max|a| is then formed as 2 (tol max|a/2|), halving before the
     modulus as re_part does.  Where max|a| is finite this is within_tol.
     """
-    scale = max_abs(a)
+    if scale is None:
+        scale = max_abs(a)
     if scale < math.inf:
         return within_tol(dev, scale, tol)
     # |a/2| from the halved parts: complex division turns an inf entry into nan
@@ -145,16 +147,19 @@ def entries_within_tol(dev: float, a: np.ndarray, tol: float) -> bool:
     return bool(dev <= 2.0 * (tol * half))
 
 
-def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
+def hermitian_eigenvalues(h: np.ndarray, check: bool = True) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, sorted nonincreasing.
 
     Raises NotHermitianError when ||h - h*||_max exceeds
-    DEFAULT_TOL * max(1, ||h||_max).
+    DEFAULT_TOL * max(1, ||h||_max).  check=False skips that test, for
+    an h that is Hermitian bit for bit by construction, as every
+    re_part is: a/2 + a*/2 adds the same two halves in either order.
     """
     h = np.asarray(h, dtype=np.complex128)
-    dev = hermitian_deviation(h)
-    if not entries_within_tol(dev, h, DEFAULT_TOL):
-        raise NotHermitianError(f"h deviates from Hermitian by {dev:.3e}")
+    if check:
+        dev = hermitian_deviation(h)
+        if not entries_within_tol(dev, h, DEFAULT_TOL):
+            raise NotHermitianError(f"h deviates from Hermitian by {dev:.3e}")
     # eigvalsh reads one triangle only, so it gets re_part(h)
     return np.linalg.eigvalsh(re_part(h))[::-1]
 

@@ -334,10 +334,16 @@ class InequalityCheck:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def check_inequality(inst: BohrInstance, r: float, tol: float = DEFAULT_TOL) -> InequalityCheck:
+def check_inequality(
+    inst: BohrInstance, r: float, tol: float = DEFAULT_TOL, series: AlphaSeries | None = None
+) -> InequalityCheck:
     """Evaluate the majorant sum at r against the budget Re Tr(S).
 
-    A Bohr sum, budget Tr(S) or slack that overflows raises NonFiniteError."""
-    lhs = bohr_sum(alpha_series(inst, tol=tol), r)
+    series is the instance's alpha_series at tol, built here when the
+    caller has none.  A Bohr sum, budget Tr(S) or slack that overflows
+    raises NonFiniteError."""
+    if series is None:
+        series = alpha_series(inst, tol=tol)
+    lhs = bohr_sum(series, r)
     rhs = float(np.trace(inst.S).real)
     return InequalityCheck(holds=bool(lhs <= rhs + tol), lhs=lhs, rhs=rhs)

@@ -1,6 +1,8 @@
 """Command-line interface: documents, exit codes, output formats."""
 
 import argparse
+import ast
+import enum
 import hashlib
 import json
 import math
@@ -28,6 +30,8 @@ from bohrlab.cli import (
     main,
     save_instance,
 )
+from bohrlab import series as series_module
+from bohrlab.search import SearchConfig, search
 from bohrlab.series import BohrInstance, SequenceSpec, alpha_series, critical_radius
 from bohrlab.witnesses import general_witness, remark_two_witness, sine_witness
 
@@ -366,6 +370,147 @@ class TestBulkConversion:
             assert fh.read() == want + "\n"
 
 
+class Level(enum.IntEnum):
+    LOW = 1
+
+
+class Text(str):
+    pass
+
+
+class Real(float):
+    pass
+
+
+class Items(list):
+    pass
+
+
+class Table(dict):
+    pass
+
+
+WRITER_SCALARS = [
+    -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7976931348623157e308, 1e16, 1e-7, 0.1, 1 / 3,
+    math.nan, math.inf, -math.inf, np.float64(1.5), np.float64(-0.0), np.float64(math.nan),
+    np.float64(-math.inf), Real(2.5), Real(math.inf),
+    0, 1, -1, 2**53 + 1, 2**64, -(2**100), 10**40, Level.LOW, True, False, None,
+    "", "a", "\u00e9t\u00e9", "\u65e5\u672c", "\U0001f600", "\x00\x1f\n\t\"\\/\x7f", "\u2028", Text("x\u00ff"),
+]
+
+WRITER_SHAPES = [
+    [], (), {}, [[]], [{}], {"a": {}}, {"a": []}, ([1, (2.0,)], ()), Items([1.5, Items()]),
+    Table(b=Table(), a=[None]), {"": 0, "\u00e9\n": 1, Text("k"): Level.LOW},
+    # matrix literals as lists, and nodes shaped almost like them
+    [[[1.0, 2.0]]],
+    [[[1.0, -0.0], [5e-324, 1e308]], [[0.5, 0.25], [-1.5, 3.0]]],
+    [[[1.0, math.inf], [0.0, 0.0]], [[0.0, 0.0], [0.0, math.nan]]],
+    [[[1, 2.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, True]]],
+    [[[np.float64(1.0), 2.0]]],
+    [[(1.0, 2.0)]],
+    [([1.0, 2.0],)],
+    [[[1.0, 2.0, 3.0]]],
+    [[[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0], [7.0, 8.0]]], [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]],
+    [[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0]]],
+]
+
+
+def random_json(rng, depth=0):
+    """A seeded nested value of every kind the writer spells."""
+    kind = rng.integers(6 if depth < 4 else 2)
+    if kind == 0:
+        return WRITER_SCALARS[rng.integers(len(WRITER_SCALARS))]
+    if kind == 1:
+        return float(rng.standard_normal() * 10.0 ** rng.integers(-320, 309))
+    if kind == 2:
+        return [random_json(rng, depth + 1) for _ in range(rng.integers(0, 4))]
+    if kind == 3:
+        return tuple(random_json(rng, depth + 1) for _ in range(rng.integers(0, 3)))
+    if kind == 4:
+        return {f"k{i}\u00e9": random_json(rng, depth + 1) for i in range(rng.integers(0, 4))}
+    n = int(rng.integers(1, 4))
+    return random_literal(rng, n) if rng.random() < 0.5 else np.asarray(random_literal(rng, n), float).tolist()
+
+
+class TestWriter:
+    """cli's one JSON writer writes the bytes of json.dumps(obj, indent=2)."""
+
+    @staticmethod
+    def assert_writes_like_json(obj):
+        assert cli._dumps(obj) == json.dumps(obj, indent=2)
+
+    @pytest.mark.parametrize("obj", WRITER_SCALARS, ids=repr)
+    def test_scalars(self, obj):
+        self.assert_writes_like_json(obj)
+        self.assert_writes_like_json([obj, {"v": obj}])
+
+    @pytest.mark.parametrize("obj", WRITER_SHAPES, ids=range(len(WRITER_SHAPES)))
+    def test_containers_and_literals(self, obj):
+        self.assert_writes_like_json(obj)
+        self.assert_writes_like_json({"deep": [obj, {"deeper": obj}]})
+
+    def test_seeded_corpus(self):
+        rng = np.random.default_rng(2026)
+        for _ in range(400):
+            self.assert_writes_like_json(random_json(rng))
+
+    def test_every_document_the_tests_build(self):
+        found = search(SearchConfig(n=2, restarts=4, max_iters=300, seed=3)).instance
+        finite = BohrInstance(np.eye(3), 2.0 * np.eye(3), SequenceSpec.finite([np.eye(3, k=1), np.eye(3, k=2)]))
+        empty = BohrInstance(np.eye(2), np.eye(2), SequenceSpec.finite([]))
+        edge = BohrInstance(
+            np.array([[-0.0, 5e-324], [1e308, -1e-308j]]) + 0.25j, np.diag([2.0, -0.0]), SequenceSpec.constant(np.eye(2))
+        )
+        for inst in (general_witness(7), sine_witness(5), remark_two_witness(0.4), found, finite, empty, edge):
+            # the writer's document keeps the arrays, which it spells as their literals
+            want = json.dumps(instance_to_document(inst), indent=2)
+            assert cli._dumps(cli._document(inst)) == want
+            self.assert_writes_like_json(instance_to_document(inst))
+
+    def test_arrays_that_are_not_finite(self):
+        # no instance holds one, but the writer spells them as json does
+        for a in (np.array([[math.inf + 1j]]), np.array([[0.0, 1.0], [math.nan, -math.inf * 1j]])):
+            for indent in range(3):
+                obj = a
+                for _ in range(indent):
+                    obj = {"m": [obj]}
+                literal = json.loads(json.dumps(obj, default=cli._matrix_to_literal))
+                assert cli._dumps(obj) == json.dumps(literal, indent=2)
+
+    def test_printed_payloads(self, tmp_path, capsys):
+        path = write_instance(tmp_path, remark_two_witness(0.5))
+        for argv in (
+            ["verify", path, "--r", "0.3"],
+            ["witness", "--family", "remark-n2", "--r-target", "0.6"],
+            ["scalar", "--coeffs", "1,-0.5j,1e-320", "--r", "0.2"],
+            ["table", "--max-n", "4"],
+            TestRadiusSearchCommand.ARGS,
+        ):
+            main([*argv, "--format", "json"])
+            out = capsys.readouterr().out
+            assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_refuses_what_json_refuses(self):
+        for obj in (object(), np.int64(1), {(1, 2): 0}, [1, {"a": np.bool_(True)}]):
+            with pytest.raises(TypeError):
+                json.dumps(obj, indent=2)
+            with pytest.raises(TypeError):
+                cli._dumps(obj)
+
+    def test_no_other_writer_in_the_package(self):
+        src = os.path.dirname(cli.__file__)
+        for name in sorted(os.listdir(src)):
+            if name.endswith(".py"):
+                with open(os.path.join(src, name), encoding="utf-8") as fh:
+                    tree = ast.parse(fh.read())
+                calls = [
+                    node.attr
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps")
+                ]
+                assert calls == [], name
+
+
 class TestVerifyCommand:
     def test_holds_exits_zero(self, tmp_path, capsys):
         path = write_instance(tmp_path, general_witness(3))
@@ -401,6 +546,40 @@ class TestVerifyCommand:
         path = write_instance(tmp_path, inst)
         assert main(["verify", path, "--r", "0.2"]) == EXIT_HYPOTHESES
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            general_witness(4),
+            remark_two_witness(0.5),
+            # 2 + 2r + r^2 against the budget 4: the radius is sqrt(3) - 1
+            BohrInstance(
+                np.array([[1.0, -2.0], [0.0, 1.0]]),
+                2.0 * np.eye(2),
+                SequenceSpec.finite([np.eye(2, k=1), 0.5 * np.eye(2, k=1)]),
+            ),
+        ],
+        ids=["constant", "relaxed", "finite"],
+    )
+    def test_one_series_and_42_sums(self, inst, tmp_path, capsys, monkeypatch):
+        # the check and the radius share one alpha series; the check makes
+        # one bohr_sum call, the bisected radius 41
+        calls = {"alpha_series": 0, "bohr_sum": 0}
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        alpha = counted("alpha_series", series_module.alpha_series)
+        monkeypatch.setattr(cli, "alpha_series", alpha)
+        monkeypatch.setattr(series_module, "alpha_series", alpha)
+        monkeypatch.setattr(series_module, "bohr_sum", counted("bohr_sum", series_module.bohr_sum))
+        path = write_instance(tmp_path, inst)
+        assert main(["verify", path, "--r", "0.1"]) == EXIT_OK
+        assert calls == {"alpha_series": 1, "bohr_sum": 42}
 
     def test_json_payload(self, tmp_path, capsys):
         path = write_instance(tmp_path, sine_witness(3))
@@ -674,6 +853,19 @@ class TestWitnessCommand:
         inst = load_instance(str(sink))
         assert inst.mode == "relaxed"
         assert inst.order == 2
+
+
+    def test_order_300_document_digest(self, tmp_path, capsys):
+        # every entry of the order-300 staircase is exact, so the bytes do
+        # not depend on the platform
+        sink = tmp_path / "w300.json"
+        argv = ["witness", "--family", "general-n", "--n", "300", "--output", str(sink)]
+        assert main(argv) == EXIT_OK
+        capsys.readouterr()
+        data = sink.read_bytes()
+        assert len(data) == 12_116_978
+        digest = hashlib.sha256(data).hexdigest()
+        assert digest == "24e85666d86fa696323eb1a38cbed6182b5441b69de22563c64c4d601993e249"
 
 
 class TestRadiusSearchCommand:
@@ -1131,7 +1323,7 @@ class TestFixedCost:
     def test_output_file_written_only_when_asked(self, tmp_path, capsys, monkeypatch):
         path = write_instance(tmp_path, general_witness(2))
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(cli, "instance_to_document", lambda inst: pytest.fail("built a document"))
+        monkeypatch.setattr(cli, "_document", lambda inst, literal=None: pytest.fail("built a document"))
         for argv in (
             ["verify", path, "--r", "0.25"],
             ["scalar", "--moebius", "0.5", "--r", "0.3"],

@@ -1,6 +1,7 @@
 """Hypothesis reporting for both condition sets, plus the trace lemma."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -19,12 +20,20 @@ from bohrlab.linalg import (
     DEFAULT_TOL,
     NonFiniteError,
     NotHermitianError,
+    entries_within_tol,
+    frobenius_norm,
+    hermitian_deviation,
     hermitian_eigenvalues,
     is_strictly_upper,
     is_upper,
     max_abs,
+    modulus,
+    operator_norm,
+    re_part,
+    require_finite,
+    within_tol,
 )
-from bohrlab.series import BohrInstance, SequenceSpec
+from bohrlab.series import BohrInstance, SequenceSpec, trace_is_real
 from bohrlab.witnesses import general_witness, remark_two_witness, sine_witness
 
 
@@ -421,3 +430,170 @@ class TestNonFinite:
         a = np.array([[0.0, 1e8], [0.0, 0.0]])
         inst = BohrInstance(a, np.diag([1e8, 1e8]), SequenceSpec.constant(np.eye(2, k=1)))
         assert check_theorem_hypotheses(inst).overall
+
+
+# ---------------------------------------------------------------- reference
+# The condition sets as they were written before each matrix got one
+# np.abs pass, kept as the oracle of TestReference: every max|.| taken
+# afresh, the triangles and off-diagonal parts built by np.tril and
+# np.diag, the gap's eigenvalues behind hermitian_eigenvalues' own
+# Hermitian test, and the Frobenius norms formed per trace.
+
+
+def reference_trace(a, tol):
+    tr = complex(np.trace(a))
+    if not trace_is_real(tr, tol):
+        return ConditionReport("nonnegative_trace_a", False, -abs(tr.imag))
+    return ConditionReport("nonnegative_trace_a", bool(tr.real >= -tol), tr.real)
+
+
+def reference_gap(a, s, tol):
+    gap = require_finite(re_part(s - re_part(a)), "the gap S - Re(A)")
+    values = require_finite(hermitian_eigenvalues(gap), "an eigenvalue of the gap S - Re(A)")
+    lam_min = float(values[-1])
+    scale = max(1.0, float(np.max(np.abs(values))))
+    floor = (tol + values.size * np.finfo(np.float64).eps) * scale
+    return ConditionReport("gap_psd", bool(lam_min >= -floor), lam_min)
+
+
+def reference_norm(mats, tol):
+    worst = max((operator_norm(m) for m in mats), default=0.0)
+    return ConditionReport("sequence_norm", bool(worst <= 1.0 + tol), 1.0 - worst)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_theorem(inst, tol=DEFAULT_TOL):
+    a, s = inst.A, inst.S
+    mats = inst.seq.matrices
+    low_dev = max_abs(np.tril(a, -1))
+    conds = [ConditionReport("upper_triangular_a", entries_within_tol(low_dev, a, tol), -low_dev)]
+    conds.append(reference_trace(a, tol))
+    diag_s = np.diagonal(s)
+    s_dev = max(max_abs(s - np.diag(diag_s)), max_abs(np.imag(diag_s)))
+    conds.append(ConditionReport("real_diagonal_s", entries_within_tol(s_dev, s, tol), -s_dev))
+    conds.append(reference_gap(a, s, tol))
+    low = [max_abs(np.tril(m)) for m in mats]
+    up_ok = all(entries_within_tol(dev, m, tol) for dev, m in zip(low, mats))
+    conds.append(ConditionReport("strictly_upper_sequence", bool(up_ok), -max(low, default=0.0)))
+    conds.append(reference_norm(mats, tol))
+    return conds
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_relaxed(inst, tol=DEFAULT_TOL):
+    a, s = inst.A, inst.S
+    mats = inst.seq.matrices
+    conds = [reference_trace(a, tol)]
+    herm_dev = hermitian_deviation(s)
+    conds.append(ConditionReport("hermitian_s", entries_within_tol(herm_dev, s, tol), -herm_dev))
+    conds.append(reference_gap(a, s, tol))
+    for name, left, what in (("orthogonal_to_s", s, "S"), ("orthogonal_to_a", a, "A")):
+        devs = [0.0]
+        ok = True
+        for i, m in enumerate(mats, 1):
+            t = modulus(complex(np.einsum("ij,ji->", left, m)), f"|Tr({what} A_{i})|")
+            scale = frobenius_norm(left) * frobenius_norm(m)
+            devs.append(t)
+            ok = ok and math.isfinite(scale) and within_tol(t, scale, tol)
+        conds.append(ConditionReport(name, ok, -float(np.max(devs))))
+    conds.append(reference_norm(mats, tol))
+    return conds
+
+
+def outcome(check, inst):
+    """(name, verdict, slack bits) per condition, or the error raised."""
+    try:
+        conds = check(inst)
+    except NonFiniteError as exc:
+        return ("NonFiniteError", str(exc))
+    conds = getattr(conds, "conditions", conds)
+    return [(c.name, c.passed, struct.pack("<d", c.slack)) for c in conds]
+
+
+SCALES = (1.0, 1e-8, 1e8, 1e-310, 5e-324, 1e-300, 1e154, 1e300, 1e308, 1.7e308)
+
+
+def corpus(seed, count):
+    """Seeded instances of orders 1 to 9: upper, nearly upper and full A;
+    real diagonal, complex diagonal, Hermitian and non-Hermitian S; a
+    constant sequence or a finite list of 0 to 3 matrices; entries scaled
+    from the subnormal range to near the float limit."""
+    rng = np.random.default_rng(seed)
+    out = []
+    with np.errstate(all="ignore"):
+        while len(out) < count:
+            out += draw_instance(rng)
+    return out
+
+
+def draw_instance(rng):
+    """One instance of the corpus, or none when an entry overflowed."""
+    n = int(rng.choice([1, 1, 2, 2, 3, 4, 5, 9]))
+
+    def draw(shape=(n, n)):
+        z = rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape) * (rng.random() < 0.7)
+        return z * float(rng.choice(SCALES))
+
+    a = draw()
+    kind = rng.integers(3)
+    if kind < 2:
+        a = np.triu(a) + (kind == 1) * np.tril(draw(), -1) * 1e-11
+    s = (
+        lambda: np.diag(draw((n,)).real),
+        lambda: np.diag(draw((n,))),
+        lambda: re_part(draw()),
+        draw,
+        lambda: np.diag(np.abs(re_part(a)).sum(axis=1) + 1.0),  # a PSD gap
+    )[rng.integers(5)]()
+    mats = [draw() for _ in range(int(rng.integers(0, 4)))]
+    mats = [np.triu(m, int(rng.integers(0, 2))) if rng.random() < 0.7 else m for m in mats]
+    seq = SequenceSpec.constant(mats[0]) if mats and rng.random() < 0.5 else SequenceSpec.finite(mats)
+    try:
+        return [BohrInstance(a, s, seq)]
+    except ValueError:  # an entry that overflowed while drawn
+        return []
+
+
+class TestReference:
+    """The single-pass checks report the names, verdicts and slacks, bit
+    for bit, and raise the errors, of the reference above."""
+
+    SPECIAL = (
+        BohrInstance(np.eye(1), np.eye(1), SequenceSpec.finite([])),
+        BohrInstance(np.array([[2.0 + 1e-300j]]), np.array([[1.0 + 1j]]), SequenceSpec.constant(np.ones((1, 1)))),
+        BohrInstance(np.diag([5e-324, 1e-310]), np.diag([5e-324, 3e-323]), SequenceSpec.finite([])),
+        BohrInstance(
+            np.array([[1e-310, 7e-322], [5e-324, 3e-320]]),
+            np.array([[1e-309, 5e-324 + 5e-324j], [3e-323, 2e-308]]),
+            SequenceSpec.constant(np.array([[0.0, 9e-321], [5e-324, 0.0]])),
+        ),
+        BohrInstance(
+            np.array([[1.5e308 + 1.5e308j, 1e308], [1e300, -1.5e308]]),
+            np.diag([1.6e308, 1.4e308 + 1e307j]),
+            SequenceSpec.finite([np.full((2, 2), 1e308), np.eye(2, k=1)]),
+        ),
+        general_witness(6),
+        sine_witness(5),
+        remark_two_witness(0.5),
+    )
+
+    @pytest.mark.parametrize("check, reference", [
+        (check_theorem_hypotheses, reference_theorem),
+        (check_relaxed_hypotheses, reference_relaxed),
+    ], ids=["theorem", "relaxed"])
+    def test_seeded_corpus(self, check, reference):
+        instances = [*self.SPECIAL, *corpus(2022, 600)]
+        outcomes = [outcome(check, inst) for inst in instances]
+        assert outcomes == [outcome(reference, inst) for inst in instances]
+        # the corpus reaches every kind of outcome
+        errors = sum(isinstance(o, tuple) for o in outcomes)
+        verdicts = {v for o in outcomes if not isinstance(o, tuple) for _, v, _ in o}
+        assert 0 < errors < len(instances) / 2 and verdicts == {True, False}
+
+    def test_gap_eigenvalues_need_no_hermitian_test(self):
+        # a re_part is Hermitian bit for bit, so the test never fails
+        for inst in [*self.SPECIAL, *corpus(7, 300)]:
+            with np.errstate(over="ignore", invalid="ignore"):
+                gap = re_part(inst.S - re_part(inst.A))
+            if np.isfinite(gap).all():
+                assert hermitian_deviation(gap) == 0.0
