@@ -7,7 +7,10 @@ every complex entry spelled as an [re, im] pair.
 
 The fixed cost of a call is paid once per process: ``main`` builds the
 argparse tree on its first call and reuses it, and looks up the
-``cmd_*`` handler by name at each call.  A handler prints and writes
+``cmd_*`` handler by name at each call.  Each line takes one argparse
+pass, by the parser of the subcommand it names; the full tree parses
+again only a line that this pass does not accept, so help and usage
+errors are the tree's own.  A handler prints and writes
 nothing: it returns an ``Outcome``, and ``main`` alone renders it,
 writes ``--output`` (before printing, so a failed write prints only its
 ``error:`` line) and prints; a handler's input error is a ValueError,
@@ -58,9 +61,10 @@ EXIT_HYPOTHESES = 3
 
 class Outcome(NamedTuple):
     """What a handler returns for ``main`` to print and write: the exit
-    code, the ``--format json`` payload, a function building the lines of
-    the other formats, and the document ``--output`` receives as JSON
-    (None: the printed text)."""
+    code, the ``--format json`` payload (None when a handler builds it
+    only for that format), a function building the lines of the other
+    formats, and the document ``--output`` receives as JSON (None: the
+    printed text)."""
 
     code: int
     payload: object
@@ -195,6 +199,9 @@ def load_instance(path: str) -> BohrInstance:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DocumentError(path, f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    # json's decoder recurses once per nesting level
+    except RecursionError:
+        raise DocumentError(path, "arrays or objects nested too deeply") from None
     return document_to_instance(doc)
 
 
@@ -465,7 +472,10 @@ def cmd_table(args) -> Outcome:
     if args.max_n < 2:
         raise ValueError(f"--max-n must be >= 2, got {args.max_n}")
     rows = _table_rows(args.max_n)
-    payload = [{"n": n, "formula": f, "bisection": b, "abs_diff": d} for n, f, b, d in rows]
+    # only the json format reads the payload
+    payload = None
+    if args.format == "json":
+        payload = [{"n": n, "formula": f, "bisection": b, "abs_diff": d} for n, f, b, d in rows]
 
     def lines():
         if args.format == "csv":
@@ -603,6 +613,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tail", nargs=2, type=float, default=None, metavar=("C", "RHO"))
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--gridpoints", type=int, default=4096)
+    # each subcommand's parser by name, kept with the tree for _parse
+    parser.commands = sub.choices
     return parser
 
 
@@ -611,11 +623,27 @@ def build_parser() -> argparse.ArgumentParser:
 _parser: argparse.ArgumentParser | None = None
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The namespace _parser.parse_args(argv) returns, in one pass.
+
+    A line that names a command goes straight to that command's parser,
+    which is what the tree's subcommand action runs on the rest of the
+    line.  The tree itself parses only a line that names no command or
+    leaves arguments over, so help and usage errors are its own.
+    """
+    command = _parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extra:
+            return args
+    return _parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     # looked up at each call, so a handler replaced after the parser was
     # built (a tracer's wrapper, say) is the one that runs
     handler = globals()["cmd_" + args.command.replace("-", "_")]

@@ -125,6 +125,15 @@ class TestDocuments:
             load_instance(str(path))
         assert "line 1" in str(err.value)
 
+    def test_deep_nesting_is_a_document_error(self, tmp_path):
+        # json's decoder recurses once per level and gives up long before
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        with pytest.raises(DocumentError) as err:
+            load_instance(str(path))
+        assert err.value.path == str(path)
+        assert str(err.value) == f"{path}: arrays or objects nested too deeply"
+
 
 def reference_matrix_from_literal(node, n, path):
     """The entry-by-entry conversion that the bulk loader replaced: the
@@ -614,6 +623,18 @@ class TestVerifyCommand:
         assert main(["verify", str(path), "--r", "0.2"]) == EXIT_INPUT
         assert "line 1" in capsys.readouterr().err
 
+    def test_deeply_nested_file_exits_one_without_traceback(self, tmp_path):
+        # a fresh process, as a user meets it: the recursion limit is the
+        # interpreter's own and nothing above main catches the error
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        command = [sys.executable, "-m", "bohrlab.cli", "verify", str(path), "--r", "0.3"]
+        fresh = subprocess.run(command, capture_output=True, text=True, env=env)
+        assert_one_error_line(fresh.returncode, fresh.stdout, fresh.stderr)
+        assert fresh.stderr == f"error: {path}: arrays or objects nested too deeply\n"
+
     def test_integer_beyond_float_range_exits_one(self, tmp_path, capsys):
         doc = instance_to_document(general_witness(2))
         doc["S"][0][0] = [10**400, 0]
@@ -983,6 +1004,12 @@ class TestTableCommand:
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == "334c5167d8c722789a95c9989e9bd3f118ad270464dfd765e97ec7bae3a13ed3"
 
+    def test_payload_built_only_for_json(self):
+        for fmt in ("text", "csv"):
+            assert cli.cmd_table(argparse.Namespace(max_n=4, format=fmt)).payload is None
+        payload = cli.cmd_table(argparse.Namespace(max_n=4, format="json")).payload
+        assert [row["n"] for row in payload] == [2, 3, 4]
+
     def test_rejects_small_max_n(self, capsys):
         assert main(["table", "--max-n", "1"]) == EXIT_INPUT
         capsys.readouterr()
@@ -1154,7 +1181,7 @@ class TestArgumentErrors:
         assert "Traceback" not in captured.err
 
     def test_each_subcommand_takes_only_the_options_it_reads(self):
-        sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        commands = cli.build_parser().commands
         shared = {"-h", "--help", "--output", "--format"}
         expected = {
             "verify": shared | {"--tol", "--r"},
@@ -1163,15 +1190,15 @@ class TestArgumentErrors:
             "table": shared | {"--max-n"},
             "scalar": shared | {"--tol", "--moebius", "--coeffs", "--tail", "--r", "--gridpoints"},
         }
-        options = {name: p._option_string_actions for name, p in sub.choices.items()}
+        options = {name: p._option_string_actions for name, p in commands.items()}
         assert {name: set(opts) for name, opts in options.items()} == expected
         for name, opts in options.items():
             formats = ("text", "json", "csv") if name == "table" else ("text", "json")
             assert tuple(opts["--format"].choices) == formats
 
     def test_output_help_names_what_each_subcommand_writes(self):
-        sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-        helps = {name: p._option_string_actions["--output"].help for name, p in sub.choices.items()}
+        commands = cli.build_parser().commands
+        helps = {name: p._option_string_actions["--output"].help for name, p in commands.items()}
         written = {
             "verify": "JSON result",
             "scalar": "JSON result",
@@ -1333,6 +1360,72 @@ class TestFixedCost:
         ):
             assert main(argv) == EXIT_OK
         assert os.listdir(tmp_path) == ["instance.json"]
+        capsys.readouterr()
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
+
+
+def golden_argvs():
+    with open(GOLDEN, encoding="utf-8") as fh:
+        return [entry["argv"] for entry in json.load(fh)["entries"]]
+
+
+# the lines that exercise argparse itself: help, usage errors, an
+# abbreviated option and the -- separator
+ARGPARSE_LINES = [
+    [],
+    ["bogus"],
+    ["-h"],
+    ["verify", "-h"],
+    ["verify", "doc.json", "--r", "0.3", "extra"],
+    ["scalar", "--r"],
+    ["witness", "--family", "bogus"],
+    ["radius-search", "--n", "x"],
+    ["scalar", "--moebius", "0.5", "--r", "0.3", "--tol", "nan"],
+    ["scalar", "--moeb", "0.5", "--r", "0.3"],
+    ["verify", "--r", "0.3", "--", "doc.json"],
+    ["--", "verify", "doc.json", "--r", "0.3"],
+    ["scalar", "--moebius", "0.5", "--r", "0.3", "--bogus"],
+]
+
+
+class TestDispatch:
+    """main parses a line once, with its subcommand's parser, and gets
+    what the full tree's parse_args gets: the same namespace, or the
+    same exit code and the same text."""
+
+    @staticmethod
+    def parse(parse, argv, capsys):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+        captured = capsys.readouterr()
+        return result, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", golden_argvs() + ARGPARSE_LINES, ids=lambda argv: " ".join(argv)[:80])
+    def test_same_parse_as_the_full_tree(self, argv, capsys, monkeypatch):
+        # argparse wraps usage lines at the terminal width: pin it for both sides
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.setattr(cli, "_parser", cli.build_parser())
+        expected = self.parse(cli._parser.parse_args, argv, capsys)
+        assert self.parse(cli._parse, argv, capsys) == expected
+
+    def test_a_valid_line_never_runs_the_full_tree(self, tmp_path, capsys, monkeypatch):
+        write_instance(tmp_path, general_witness(2))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "_parser", cli.build_parser())
+        full = []
+        real = cli._parser.parse_args
+        monkeypatch.setattr(cli._parser, "parse_args", lambda argv: full.append(argv) or real(argv))
+        for argv in VALID.values():
+            assert main(argv) == EXIT_OK
+        assert full == []
+        # a line with an argument left over goes to the full tree, once
+        with pytest.raises(SystemExit):
+            main(VALID["scalar"] + ["--bogus"])
+        assert full == [VALID["scalar"] + ["--bogus"]]
         capsys.readouterr()
 
 
