@@ -108,13 +108,6 @@ class AlphaSeries:
             raise ValueError(f"ratio must lie in [0, 1], got {self.ratio}")
 
 
-def _square(P) -> np.ndarray:
-    P = np.asarray(P)
-    if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise ValueError(f"P must be a square 2-d array, got shape {P.shape}")
-    return P
-
-
 @dataclass(frozen=True, eq=False)
 class BohrInstance:
     """One experiment: (A, S, sequence) plus the hypothesis mode it targets."""
@@ -150,7 +143,9 @@ class BohrInstance:
         a real P only the real parts are written, so every imaginary
         part is +0.0, as if the real matrix had been cast to complex.
         """
-        P = _square(P)
+        P = np.asarray(P)
+        if P.ndim != 2 or P.shape[0] != P.shape[1]:
+            raise ValueError(f"P must be a square 2-d array, got shape {P.shape}")
         n = len(P)
         idx = np.arange(n)
         a = np.zeros((n, n), dtype=np.complex128)
@@ -174,37 +169,22 @@ def gap_blocks(P, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     matrix with ones on the superdiagonal, as three float arrays indexed
     by k - 1.
 
-    No order-n matrix is built.  Block k has Tr(A) = k c and Tr(S) =
-    sum_{i<k} (Re P_ii + c), and the shift pairs only with A's
-    superdiagonal, so Tr(A M*) = sum_{i<k-1} -2 P_{i,i+1}: only P's
-    diagonal and superdiagonal are read, O(n) in all, and a broadcast P
-    costs O(1).  Each sum is one np.cumsum, which adds in another order
-    than alpha_series and agrees with it to rounding, bit for bit
-    wherever every partial sum is an exact float, as for integer
-    entries.  The checks and errors are alpha_series's, at the default
-    tolerance, raised for the first block that fails them: a vectorized
-    screen flags every block that might fail, and the scalar checks
-    re-run in block order on the flagged ones.  A budget that is not
-    finite raises NonFiniteError.
+    P is a real square array with a nonnegative diagonal and c >= 0, as
+    in every witness gap.  No order-n matrix is built.  Block k has
+    Tr(A) = k c and Tr(S) = sum_{i<k} (P_ii + c), and the shift pairs
+    only with A's superdiagonal, so Tr(A M*) = sum_{i<k-1} -2 P_{i,i+1}:
+    only P's diagonal and superdiagonal are read, O(n) in all, and a
+    broadcast P costs O(1).  Each sum is one np.cumsum, which adds in
+    another order than alpha_series and agrees with it to rounding, bit
+    for bit wherever every partial sum is an exact float, as for integer
+    entries.  Nothing is checked: Tr(A) is real and nonnegative here,
+    so alpha_series's trace checks cannot fail.
     """
-    P = _square(P)
     n = len(P)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # + 0.0 turns a -0.0 partial sum into the 0.0 that a sum from 0 gives
-        tr = np.cumsum(np.full(n, float(c))) + 0.0
-        budget = np.cumsum(P.diagonal().real + c) + 0.0
-        pairing = np.cumsum(np.concatenate(([0.0], -2.0 * P.diagonal(1)))) + 0.0
-        # Tr(A) is real, and numpy's complex abs overflows exactly where
-        # Python's does, so a block passes only if it passes the scalar checks
-        screen = (tr >= -DEFAULT_TOL) & (tr < np.inf) & (np.abs(pairing) < np.inf)
-    for k in np.flatnonzero(~screen).tolist():
-        tail = modulus(complex(pairing[k]), "|alpha_1| = |Tr(A A_1*)|")
-        AlphaSeries(_alpha0(complex(tr[k]), DEFAULT_TOL), (), tail)
-    require_finite(budget, "Re Tr(S)")
-    # Python's abs, as alpha_series takes it: numpy's complex abs may
-    # round differently
-    tail = np.fromiter(map(abs, pairing.tolist()), np.float64, n)
-    return np.maximum(tr, 0.0), tail, budget
+    tr = np.cumsum(np.full(n, float(c)))
+    budget = np.cumsum(P.diagonal() + float(c))
+    pairing = np.cumsum(np.concatenate(([0.0], -2.0 * P.diagonal(1))))
+    return tr, np.abs(pairing), budget
 
 
 def trace_is_real(tr: complex, tol: float) -> bool:
@@ -293,22 +273,16 @@ def critical_radii(alpha0: np.ndarray, tail: np.ndarray, budget: np.ndarray) -> 
     """critical_radius of stacked constant-tail series, one per row.
 
     Row i is the series alpha0[i], tail[i], tail[i], ... (ratio 1, tail
-    from m = 1) against budget[i]; the arrays hold checked values, as
-    gap_blocks returns them.  Every row is halved in lockstep the same
-    _HALVINGS times, with the IEEE operations of critical_radius and
-    bohr_sum, so each radius is bit for bit critical_radius of that row
-    alone, within 1e-12 of the supremum, and 1.0 where the sum never
-    exceeds the budget on [0, 1).
-    Raises BudgetBelowAlpha0Error for the first row whose budget is
-    below its alpha0.  One series is faster through critical_radius: a
-    numpy step costs more than a Python one on a single row.
+    from m = 1) against budget[i] >= alpha0[i], as gap_blocks returns
+    them: each budget term P_ii + c rounds to at least c, and float
+    addition is monotone, so no row is checked.
+    Every row is halved in lockstep the same _HALVINGS times, with the
+    IEEE operations of critical_radius and bohr_sum, so each radius is
+    bit for bit critical_radius of that row alone, within 1e-12 of the
+    supremum, and 1.0 where the sum never exceeds the budget on [0, 1).
+    One series is faster through critical_radius: a numpy step costs
+    more than a Python one on a single row.
     """
-    below = budget < alpha0
-    if below.any():
-        i = int(np.argmax(below))
-        raise BudgetBelowAlpha0Error(
-            f"budget {float(budget[i])} is below alpha0 {float(alpha0[i])}; the sum fails at r = 0"
-        )
     lo = np.zeros(alpha0.shape)
     hi = np.full(alpha0.shape, _BISECT_UPPER)
     fits = alpha0 + tail * hi / (1.0 - hi) <= budget

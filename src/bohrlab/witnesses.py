@@ -95,12 +95,15 @@ def remark_parameters(r_target: float) -> tuple[float, int]:
     theta is the midpoint of ((1-r)/(2r), 1), the interval on which the
     violation argument works; k is the smallest integer strictly above
     theta/(2(1-theta)), which keeps the sequence matrix a contraction.
+    A target so close to 1/3 that theta rounds to 1 is refused too.
     """
     if not (1.0 / 3.0 < r_target < 1.0):
         raise RadiusNotAboveOneThirdError(
             f"r_target must lie in (1/3, 1), got {r_target}"
         )
     theta = 0.5 * ((1.0 - r_target) / (2.0 * r_target) + 1.0)
+    if theta >= 1.0:
+        raise RadiusNotAboveOneThirdError(f"r_target {r_target} is within rounding of 1/3: theta rounds to 1")
     k = math.floor(theta / (2.0 * (1.0 - theta))) + 1
     return theta, k
 

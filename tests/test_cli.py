@@ -37,6 +37,12 @@ from bohrlab.witnesses import general_witness, remark_two_witness, sine_witness
 
 SQRT2 = math.sqrt(2.0)
 
+# sha256 of outputs whose bytes do not depend on the platform; the CI
+# workflow looks these up by name to check the installed script
+ORDER_300_DOCUMENT_SHA256 = "24e85666d86fa696323eb1a38cbed6182b5441b69de22563c64c4d601993e249"
+TABLE_1000_CSV_SHA256 = "334c5167d8c722789a95c9989e9bd3f118ad270464dfd765e97ec7bae3a13ed3"
+TABLE_20000_CSV_SHA256 = "40c9600562d89bdac0d477619a299d104109d988f886f435eb8b5dbc3524d24b"
+
 
 def write_instance(tmp_path, inst, name="instance.json"):
     path = tmp_path / name
@@ -867,6 +873,11 @@ class TestWitnessCommand:
         assert main(["witness", "--family", "remark-n2"]) == EXIT_INPUT
         assert "requires --r-target" in capsys.readouterr().err
 
+    def test_remark_target_within_rounding_of_one_third(self, capsys):
+        # above 1/3, but theta rounds to 1, where k has no value
+        argv = ["witness", "--family", "remark-n2", "--r-target", repr(math.nextafter(1.0 / 3.0, 1.0))]
+        assert_one_error_line(*run_strict(argv, capsys))
+
     def test_output_file_round_trips(self, tmp_path, capsys):
         sink = tmp_path / "witness.json"
         main(["witness", "--family", "remark-n2", "--r-target", "0.4", "--output", str(sink)])
@@ -885,8 +896,7 @@ class TestWitnessCommand:
         capsys.readouterr()
         data = sink.read_bytes()
         assert len(data) == 12_116_978
-        digest = hashlib.sha256(data).hexdigest()
-        assert digest == "24e85666d86fa696323eb1a38cbed6182b5441b69de22563c64c4d601993e249"
+        assert hashlib.sha256(data).hexdigest() == ORDER_300_DOCUMENT_SHA256
 
 
 class TestRadiusSearchCommand:
@@ -999,10 +1009,9 @@ class TestTableCommand:
         assert cli._table_rows(150) == expected
 
     def test_order_thousand_csv_digest(self, capsys):
-        assert main(["table", "--max-n", "1000", "--format", "csv"]) == EXIT_OK
-        out = capsys.readouterr().out
-        digest = hashlib.sha256(out.encode()).hexdigest()
-        assert digest == "334c5167d8c722789a95c9989e9bd3f118ad270464dfd765e97ec7bae3a13ed3"
+        for max_n, digest in ((1000, TABLE_1000_CSV_SHA256), (20000, TABLE_20000_CSV_SHA256)):
+            assert main(["table", "--max-n", str(max_n), "--format", "csv"]) == EXIT_OK
+            assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_payload_built_only_for_json(self):
         for fmt in ("text", "csv"):

@@ -169,8 +169,17 @@ class TestRemarkFamily:
             inst = remark_two_witness(float(r_target))
             assert operator_norm(inst.seq.matrices[0]) <= 1.0 + 1e-12
 
+    def test_targets_just_above_the_refused_one_build(self):
+        r_target = math.nextafter(1.0 / 3.0, 1.0)
+        for _ in range(3):
+            r_target = math.nextafter(r_target, 1.0)
+            theta, k = remark_parameters(r_target)
+            assert theta < 1.0 and k > 0
+            assert remark_two_witness(r_target).order == 2
+
     def test_rejects_out_of_range_targets(self):
-        for bad in (1.0 / 3.0, 0.2, 1.0, 1.5, -0.1):
+        # the last is above 1/3, but its theta rounds to 1
+        for bad in (1.0 / 3.0, 0.2, 1.0, 1.5, -0.1, math.nextafter(1.0 / 3.0, 1.0)):
             with pytest.raises(RadiusNotAboveOneThirdError):
                 remark_parameters(bad)
 
