@@ -213,13 +213,16 @@ def alpha_series(inst: BohrInstance, tol: float = DEFAULT_TOL) -> AlphaSeries:
     alpha_0 is Re Tr(A); term m is |Tr(A adjoint(A_m))|.  A constant
     sequence produces a constant tail starting at m = 1; a finite list
     produces explicit magnitudes and a zero tail.  A modulus beyond the
-    float range raises NonFiniteError.
+    float range, or of a pairing that overflows to inf or nan, raises
+    NonFiniteError.
     """
     alpha0 = _alpha0(complex(np.trace(inst.A)), tol)
-    mags = tuple(
-        modulus(trace_pairing(inst.A, a_m), f"|alpha_{m}| = |Tr(A A_{m}*)|")
-        for m, a_m in enumerate(inst.seq.matrices, 1)
-    )
+
+    def magnitude(m: int, a_m: np.ndarray) -> float:
+        what = f"|alpha_{m}| = |Tr(A A_{m}*)|"
+        return require_finite(modulus(trace_pairing(inst.A, a_m), what), what)
+
+    mags = tuple(magnitude(m, a_m) for m, a_m in enumerate(inst.seq.matrices, 1))
     if inst.seq.kind == "constant":
         return AlphaSeries(alpha0, (), mags[0])
     return AlphaSeries(alpha0, mags, 0.0)

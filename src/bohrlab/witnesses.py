@@ -81,12 +81,15 @@ def sine_witness(n: int) -> BohrInstance:
     gives exactly (1, sqrt(2), 1) and the radius sqrt(2)-1.
     """
     n = _check_order(n)
+    # built first: an order too large to allocate fails here at once,
+    # not after an O(n) Python recurrence
+    shift = _shift(n)
     t = 2.0 * math.cos(math.pi / (n + 1))
     x = [0.0, 1.0]
     while len(x) <= (n + 1) // 2:
         x.append(t * x[-1] - x[-2])
     x = np.array(x[1:] + x[n // 2 : 0 : -1])
-    return BohrInstance.from_gap(np.outer(x, x), _shift(n), 2.0)
+    return BohrInstance.from_gap(np.outer(x, x), shift, 2.0)
 
 
 def remark_parameters(r_target: float) -> tuple[float, int]:

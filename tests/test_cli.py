@@ -11,6 +11,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 
@@ -61,6 +62,9 @@ def overflow_instance(scale, mode="theorem"):
 HUGE = 1.5e308 + 1.5e308j
 OVERFLOW_TAIL = "is not finite: the input overflows float arithmetic"
 SHIFT = np.eye(2, k=1)
+# Tr(A M*) = 1e308 - 1e308j sums to inf and takes a nan on the way
+OVERFLOWING_PAIRING_A = np.array([[1.0, 1e308], [0.0, 1.0]])
+OVERFLOWING_PAIRING_M = np.array([[0.0, 1e308 + 1e308j], [0.0, 0.0]])
 
 
 def run_strict(argv, capsys):
@@ -710,8 +714,25 @@ class TestVerifyCommand:
                 ),
                 "|Tr(S A_1)|",
             ),
+            # every product is finite, but the pairing itself overflows
+            # to nan-infj, whose abs is inf without an OverflowError
+            (
+                BohrInstance(OVERFLOWING_PAIRING_A, 3.0 * np.eye(2), SequenceSpec.constant(OVERFLOWING_PAIRING_M)),
+                "|alpha_1| = |Tr(A A_1*)|",
+            ),
+            (
+                BohrInstance(OVERFLOWING_PAIRING_A, 3.0 * np.eye(2), SequenceSpec.finite([OVERFLOWING_PAIRING_M])),
+                "|alpha_1| = |Tr(A A_1*)|",
+            ),
         ],
-        ids=["pairing", "second-pairing", "trace-a", "relaxed-trace-s"],
+        ids=[
+            "pairing",
+            "second-pairing",
+            "trace-a",
+            "relaxed-trace-s",
+            "overflowing-pairing",
+            "overflowing-list-pairing",
+        ],
     )
     def test_overflowing_modulus_is_named(self, tmp_path, capsys, inst, quantity):
         path = write_instance(tmp_path, inst)
@@ -851,6 +872,13 @@ class TestWitnessCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error:" in captured.err
+
+    def test_sine_order_too_large_to_allocate_fails_at_once(self, capsys):
+        start = time.perf_counter()
+        code = main(["witness", "--family", "sine", "--n", "10000000"])
+        elapsed = time.perf_counter() - start
+        assert_one_error_line(code, *capsys.readouterr())
+        assert elapsed < 1.0
 
     def test_remark_family_reports_parameters(self, capsys):
         code = main(["witness", "--family", "remark-n2", "--r-target", "0.35", "--format", "json"])

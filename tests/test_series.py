@@ -509,3 +509,10 @@ class TestInstanceChecks:
         inst = BohrInstance(np.diag([huge, 0.0]), np.eye(2), SequenceSpec.constant(shift))
         with pytest.raises(NonFiniteError, match=r"^\|Tr\(A\)\| is not finite"):
             alpha_series(inst)
+        # a pairing of finite products that overflows to nan-infj, whose
+        # abs is inf: the constant sequence and the one-matrix list
+        a = np.array([[1.0, 1e308], [0.0, 1.0]])
+        m = np.array([[0.0, 1e308 + 1e308j], [0.0, 0.0]])
+        for seq in (SequenceSpec.constant(m), SequenceSpec.finite([m])):
+            with pytest.raises(NonFiniteError, match=r"^\|alpha_1\| = \|Tr\(A A_1\*\)\| is not finite"):
+                alpha_series(BohrInstance(a, 3.0 * np.eye(2), seq))

@@ -1,6 +1,7 @@
 """Witness families: sharpness values, violation targets, embedding."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -126,6 +127,14 @@ class TestSineFamily:
         assert abs(instance_radius(sine_witness(2)) - instance_radius(general_witness(2))) <= 1e-12
         for n in range(3, 13):
             assert instance_radius(sine_witness(n)) < instance_radius(general_witness(n))
+
+    def test_order_too_large_to_allocate_fails_at_once(self):
+        # the shift is built before the O(n) recurrence, which at this
+        # order took seconds and hundreds of MB before the MemoryError
+        start = time.perf_counter()
+        with pytest.raises(MemoryError):
+            sine_witness(10**7)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestRemarkFamily:
