@@ -101,6 +101,40 @@ def _remark(r_target):
     return _document(a, [[1 + 0j, 0j], [0j, 1 + 0j]], [m], "relaxed")
 
 
+def _faulty_documents() -> dict[str, dict]:
+    """Documents that reach the reader's and verify's error paths, built
+    without the seeded draws so that the other inputs keep their bytes."""
+    docs = {}
+    for name, field, fault in (
+        ("bool-leaf.json", "A", lambda m: m[0].__setitem__(1, [True, 0.0])),
+        ("short-row.json", "S", lambda m: m[1].pop()),
+        ("nan-entry.json", "A", lambda m: m[1].__setitem__(1, [math.nan, 0.0])),
+    ):
+        doc = _staircase(2)
+        fault(doc[field])
+        docs[name] = doc
+    doc = _staircase(2)
+    doc["sequence"]["matrix"][0][1] = [10**400, 0]
+    docs["huge-int.json"] = doc
+    shift = [[0j, 1 + 0j], [0j, 0j]]
+    doc = _document([[1 + 0j, 0j], [0j, 1 + 0j]], [[2 + 0j, 0j], [0j, 2 + 0j]], [shift, shift])
+    doc["sequence"]["matrices"][1][0][1] = ["1", 0.0]
+    docs["string-leaf.json"] = doc
+    # the gap S - Re A is not PSD, and Tr(S) = 1 is below alpha0 = 2
+    docs["budget-below.json"] = _document(
+        [[1 + 0j, 0j], [0j, 1 + 0j]], [[0.5 + 0j, 0j], [0j, 0.5 + 0j]], [shift]
+    )
+    # finite products whose pairing Tr(A M*) overflows to nan-infj
+    a = [[1 + 0j, 1e308 + 0j], [0j, 1 + 0j]]
+    m = [[0j, complex(1e308, 1e308)], [0j, 0j]]
+    three = [[3 + 0j, 0j], [0j, 3 + 0j]]
+    docs["pairing-overflow.json"] = _document(a, three, [m])
+    doc = _document(a, three, [m])
+    doc["sequence"] = {"type": "list", "matrices": [_literal(m)]}
+    docs["pairing-overflow-list.json"] = doc
+    return docs
+
+
 def _inputs() -> dict[str, str]:
     rng = random.Random(20211)
     docs = {
@@ -116,6 +150,7 @@ def _inputs() -> dict[str, str]:
     for i, row in enumerate(negative["A"]):
         row[i] = [-1.0, 0.0]
     docs["negative-trace.json"] = negative
+    docs.update(_faulty_documents())
     texts = {name: json.dumps(doc, indent=2) + "\n" for name, doc in docs.items()}
     texts["malformed.json"] = texts["rand2.json"].replace('"S"', '"T"', 1)
     return texts
@@ -224,6 +259,21 @@ def _cases() -> list[tuple[list[str], bool]]:
         ["scalar", "--moebius", "-0.7", "--r", "0.3"],
     ):
         add(argv, tolerant=False)
+
+    # the document reader's error paths, and pairings that overflow
+    for name in (
+        "bool-leaf.json",
+        "short-row.json",
+        "huge-int.json",
+        "string-leaf.json",
+        "nan-entry.json",
+        "pairing-overflow.json",
+        "pairing-overflow-list.json",
+    ):
+        add(["verify", name, "--r", "0.3"], tolerant=False)
+    # hypotheses fail and the budget is below alpha0: critical radius 0.0
+    add(["verify", "budget-below.json", "--r", "0.3"])
+    add(["verify", "budget-below.json", "--r", "0.3", "--format", "json"])
     return cases
 
 
