@@ -14,13 +14,13 @@ errors are the tree's own.  A handler prints and writes
 nothing: it returns an ``Outcome``, and ``main`` alone renders it,
 writes ``--output`` (before printing, so a failed write prints only its
 ``error:`` line) and prints; a handler's input error is a ValueError,
-which ``main`` reports.  Documents are converted in bulk: each matrix
-is one exact type scan per nesting level and one ``np.array`` call, and
-the entry-by-entry walk runs only to name the field of a node that the
-scan refuses.  One writer, ``_encode``, writes every JSON text (the
-``--format json`` payload, an ``--output`` document, ``save_instance``)
-with the bytes of ``json.dumps(obj, indent=2)``; a matrix literal is one
-``%``-format template per order, filled by ``float.__repr__``.
+which ``main`` reports.  A document matrix, as ``json.load`` makes it,
+is one exact type scan per nesting level and one ``np.array`` call; the
+entry-by-entry walk only names the field of a node the scan refuses.
+One writer, ``_encode``, writes every JSON text (the ``--format json``
+payload, an ``--output`` document, ``save_instance``) with the bytes of
+``json.dumps(obj, indent=2)``: it takes exact builtin types and finite
+matrices only, and fills one ``%``-format template per matrix order.
 """
 
 from __future__ import annotations
@@ -115,19 +115,15 @@ def _bulk_values(node, n: int) -> np.ndarray | None:
 
 
 def _check_literal(node, n: int, path: str) -> None:
-    """Raise the DocumentError naming the first malformed field of node."""
-    if not isinstance(node, list) or len(node) != n:
+    """Raise the DocumentError naming the first malformed field of node:
+    with _bulk_values's exact types, for every node that scan refuses."""
+    if type(node) is not list or len(node) != n:
         raise DocumentError(path, f"expected an array of {n} rows")
     for i, row in enumerate(node):
-        if not isinstance(row, list) or len(row) != n:
+        if type(row) is not list or len(row) != n:
             raise DocumentError(f"{path}[{i}]", f"expected an array of {n} entries")
         for j, entry in enumerate(row):
-            ok = (
-                isinstance(entry, list)
-                and len(entry) == 2
-                and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
-            )
-            if not ok:
+            if not (type(entry) is list and len(entry) == 2 and _NUMBERS.issuperset(map(type, entry))):
                 raise DocumentError(f"{path}[{i}][{j}]", "expected a two-number array [re, im]")
             try:
                 complex(entry[0], entry[1])
@@ -136,12 +132,12 @@ def _check_literal(node, n: int, path: str) -> None:
 
 
 def _matrix_from_literal(node, n: int, path: str) -> np.ndarray:
+    """The matrix of a literal as json.load makes it, by the bulk scan
+    alone; any other node, a subclass of list, int or float included,
+    raises the DocumentError naming its malformed field."""
     values = _bulk_values(node, n)
     if values is None:
         _check_literal(node, n, path)
-        # well formed after all: subclasses of list, int or float, which
-        # the exact scan refuses and numpy converts like the classes
-        values = np.array(node, dtype=np.float64)
     return values.view(np.complex128).reshape(n, n)
 
 
@@ -215,39 +211,30 @@ def _literal_template(n: int, indent: str) -> str:
     return f"[{row_indent}" + f",{row_indent}".join([row] * n) + f"{indent}]"
 
 
-def _json_float(x: float) -> str:
-    if math.isfinite(x):
-        return float.__repr__(x)
-    return "NaN" if x != x else "Infinity" if x > 0.0 else "-Infinity"
-
-
 # the exact scalar types, each with json's spelling
 _CONSTANTS = {True: "true", False: "false", None: "null"}.__getitem__
 _SCALARS = {
-    str: encode_basestring_ascii, float: _json_float, int: int.__repr__, bool: _CONSTANTS, type(None): _CONSTANTS
+    str: encode_basestring_ascii, float: float.__repr__, int: int.__repr__, bool: _CONSTANTS, type(None): _CONSTANTS
 }
 
 
 def _encode(obj, write, indent: str = "\n") -> None:
     """Pass the text of json.dumps(obj, indent=2) to write, piece by piece.
 
-    The same types are tested in the same order and spelled the same
-    way: float.__repr__ for finite floats, NaN and Infinity for the
-    rest, int.__repr__, json's own ASCII string escape, and subclasses
-    as their base types; object keys must be strings.  A complex matrix
-    of a _document is written as the literal _matrix_to_literal makes
-    of it, in one piece: the template of its order and indent, filled.
+    obj holds what the package writes: dict with str keys, list, str,
+    int, finite float, bool and None, each of exactly that type, and a
+    _document's finite complex matrices.  Each is spelled as json spells
+    it, a matrix in one piece: the template of its order and indent,
+    filled by float.__repr__.  Any other type raises TypeError.
     """
-    spell = _SCALARS.get(type(obj))
+    kind = type(obj)
+    spell = _SCALARS.get(kind)
     if spell is not None:
         return write(spell(obj))
-    if isinstance(obj, np.ndarray):
-        text = _literal_template(len(obj), indent) % tuple(obj.ravel().view(np.float64).tolist())
-        if "n" not in text:  # no inf or nan, which json spells otherwise
-            return write(text)
-        obj = _matrix_to_literal(obj)
+    if kind is np.ndarray:
+        return write(_literal_template(len(obj), indent) % tuple(obj.ravel().view(np.float64).tolist()))
     inner = indent + "  "
-    if isinstance(obj, (list, tuple)):
+    if kind is list:
         if not obj:
             return write("[]")
         sep = "[" + inner
@@ -256,7 +243,7 @@ def _encode(obj, write, indent: str = "\n") -> None:
             _encode(x, write, inner)
             sep = "," + inner
         return write(indent + "]")
-    if isinstance(obj, dict):
+    if kind is dict:
         if not obj:
             return write("{}")
         sep = "{" + inner
@@ -265,10 +252,7 @@ def _encode(obj, write, indent: str = "\n") -> None:
             _encode(v, write, inner)
             sep = "," + inner
         return write(indent + "}")
-    for base in (str, int, float):
-        if isinstance(obj, base):
-            return write(_SCALARS[base](obj))
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _dumps(obj) -> str:
