@@ -15,8 +15,8 @@ nothing: it returns an ``Outcome``, and ``main`` alone renders it,
 writes ``--output`` (before printing, so a failed write prints only its
 ``error:`` line) and prints; a handler's input error is a ValueError,
 which ``main`` reports.  A document matrix, as ``json.load`` makes it,
-is one exact type scan per nesting level and one ``np.array`` call; the
-entry-by-entry walk only names the field of a node the scan refuses.
+takes one exact type scan per nesting level and one ``np.array`` call;
+the entry-by-entry walk only names the field of a node the scan refuses.
 One writer, ``_encode``, writes every JSON text (the ``--format json``
 payload, an ``--output`` document, ``save_instance``) with the bytes of
 ``json.dumps(obj, indent=2)``: it takes exact builtin types and finite
