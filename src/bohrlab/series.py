@@ -217,12 +217,10 @@ def alpha_series(inst: BohrInstance, tol: float = DEFAULT_TOL) -> AlphaSeries:
     NonFiniteError.
     """
     alpha0 = _alpha0(complex(np.trace(inst.A)), tol)
-
-    def magnitude(m: int, a_m: np.ndarray) -> float:
+    mags = []
+    for m, a_m in enumerate(inst.seq.matrices, 1):
         what = f"|alpha_{m}| = |Tr(A A_{m}*)|"
-        return require_finite(modulus(trace_pairing(inst.A, a_m), what), what)
-
-    mags = tuple(magnitude(m, a_m) for m, a_m in enumerate(inst.seq.matrices, 1))
+        mags.append(require_finite(modulus(trace_pairing(inst.A, a_m), what), what))
     if inst.seq.kind == "constant":
         return AlphaSeries(alpha0, (), mags[0])
     return AlphaSeries(alpha0, mags, 0.0)
