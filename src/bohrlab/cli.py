@@ -16,7 +16,8 @@ writes ``--output`` (before printing, so a failed write prints only its
 ``error:`` line) and prints; a handler's input error is a ValueError,
 which ``main`` reports.  A document matrix, as ``json.load`` makes it,
 takes one exact type scan per nesting level and one ``np.array`` call;
-the entry-by-entry walk only names the field of a node the scan refuses.
+the entry-by-entry walk only names the field of a node the scan refuses,
+a JSON ``NaN`` or ``Infinity`` entry among them.
 One writer, ``_encode``, writes every JSON text (the ``--format json``
 payload, an ``--output`` document, ``save_instance``) with the bytes of
 ``json.dumps(obj, indent=2)``: it takes exact builtin types and finite
@@ -89,6 +90,18 @@ def _matrix_to_literal(a: np.ndarray) -> list:
 _NUMBERS = frozenset({int, float})
 
 
+class _NonFinite(float):
+    """A JSON NaN, Infinity or -Infinity as load_instance parses it: not
+    an exact float, so the bulk scan refuses it and _check_literal names
+    its entry, while a finite document takes the scan alone."""
+
+
+# the leaves an entry of a parsed document may hold
+_LEAVES = _NUMBERS | {_NonFinite}
+# each _NonFinite's JSON literal, by its repr
+_LITERALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _bulk_values(node, n: int) -> np.ndarray | None:
     """The 2 n^2 floats, row by row and re before im, of a node of n
     lists of n [re, im] lists of ints and floats in float range, or None
@@ -116,15 +129,19 @@ def _bulk_values(node, n: int) -> np.ndarray | None:
 
 def _check_literal(node, n: int, path: str) -> None:
     """Raise the DocumentError naming the first malformed field of node:
-    with _bulk_values's exact types, for every node that scan refuses."""
+    with _bulk_values's exact types, for every node that scan refuses; a
+    parsed NaN or Infinity is named as such."""
     if type(node) is not list or len(node) != n:
         raise DocumentError(path, f"expected an array of {n} rows")
     for i, row in enumerate(node):
         if type(row) is not list or len(row) != n:
             raise DocumentError(f"{path}[{i}]", f"expected an array of {n} entries")
         for j, entry in enumerate(row):
-            if not (type(entry) is list and len(entry) == 2 and _NUMBERS.issuperset(map(type, entry))):
+            if not (type(entry) is list and len(entry) == 2 and _LEAVES.issuperset(map(type, entry))):
                 raise DocumentError(f"{path}[{i}][{j}]", "expected a two-number array [re, im]")
+            for leaf in entry:
+                if type(leaf) is _NonFinite:
+                    raise DocumentError(f"{path}[{i}][{j}]", f"{_LITERALS[repr(leaf)]} is not a finite number")
             try:
                 complex(entry[0], entry[1])
             except OverflowError:
@@ -192,7 +209,7 @@ def document_to_instance(doc) -> BohrInstance:
 def load_instance(path: str) -> BohrInstance:
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=_NonFinite)
     except json.JSONDecodeError as exc:
         raise DocumentError(path, f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     # json's decoder recurses once per nesting level

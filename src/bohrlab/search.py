@@ -15,13 +15,21 @@ phase search is needed).  Its optimum gives the radius
 
 The solver is ADMM (Boyd et al., Found. Trends Mach. Learn. 3 (2011))
 on the split M = Y, M strictly upper and Y in the unit ball of the
-operator norm, with penalty rho = n.  One plain step F maps the state
-u = (M, Y, Lambda) to
+operator norm, with penalty rho = n^2/16.  One plain step F maps the
+state u = (M, Y, Lambda) to
 
     x      <- top eigenvector of (M + M*)/2
     M      <- SU(Y - Lambda + x x*/rho)   (SU keeps the strictly-upper part)
     Y      <- M + Lambda with its singular values clipped at 1
     Lambda <- Lambda + M - Y
+
+Why n^2: the x-update takes the top eigenvector of (M + M*)/2, whose
+eigenvalues at the optimum, the shift, are cos(k pi/(n+1)).  The gap
+below the top one shrinks like 3 pi^2/(2 (n+1)^2), and the proximal
+weight rho should grow as that gap shrinks.  The constant 1/16 is
+measured (median steps of a call's slowest restart, against rho = n:
+n = 4, 208.5 to 72.5; n = 8, 612.5 to 452; n = 12, 2609 to 2203.5), and
+it makes rho = n at n = 16, where the steps are those rho = n took.
 
 Before M moves, each step scores the stacked pairs (x, M) of the live
 restarts with `objective`: the radius of the instance built from
@@ -230,7 +238,8 @@ def _restart_bytes(n: int) -> int:
 
 def _run_restart(cfg: SearchConfig, indices: range, eval_hook):
     """Lockstep ADMM with safeguarded Anderson mixing over the restarts
-    `indices`, with penalty rho = n.
+    `indices`, with penalty rho = n^2/16 (see the module docstring: the
+    x-update's eigengap shrinks like 1/n^2).
 
     Restart i starts from M = Y = a strictly-upper complex Gaussian drawn
     from a generator seeded by (cfg.seed, i) and normalized to ||M|| = 1,
@@ -239,6 +248,7 @@ def _run_restart(cfg: SearchConfig, indices: range, eval_hook):
     dropped.  Returns (best M, RestartRecord) per index, in order.
     """
     n = cfg.n
+    rho = n * n / 16.0  # the penalty; n * n / 16 is n itself at n = 16
     k = len(indices)
     strict = np.triu(np.ones((n, n), dtype=bool), 1)
     starts = [np.random.default_rng([cfg.seed, i]).standard_normal(n * (n - 1)) for i in indices]
@@ -275,7 +285,7 @@ def _run_restart(cfg: SearchConfig, indices: range, eval_hook):
         # complex product here (see objective)
         G = np.zeros(U.shape)
         GM, GY, GLam = G.view(np.complex128).reshape(len(G), 3, n, n).transpose(1, 0, 2, 3)
-        np.copyto(GM, Y - Lam + x[:, :, None] @ (x.conj() / n)[:, None, :], where=strict)
+        np.copyto(GM, Y - Lam + x[:, :, None] @ (x.conj() / rho)[:, None, :], where=strict)
         # Y is M + Lambda with its singular values clipped at 1, and the
         # updated Lambda = Lambda + M - Y is the part that was clipped off
         Z = GM + Lam
@@ -360,23 +370,3 @@ def search(cfg: SearchConfig, eval_hook=None) -> RadiusEstimate:
     instance = materialize(cfg.n, np.outer(x, x.conj()), M / _scales(M[None])[0])
     return RadiusEstimate(records[winner].best, instance, records)
 
-
-def calculus_claim_oracle(grid: int) -> float:
-    """Grid minimum of (a^2+b^2+1)/(a u + a b sqrt((1-u^2)(1-w^2)) + b w).
-
-    a and b range over a log-spaced grid on [1e-2, 10] and w over a
-    uniform grid on [0, 1]; u is maximized exactly over [0, 1], since
-    max_u a u + c sqrt(1-u^2) = sqrt(a^2 + c^2) for c >= 0.  The exact
-    maximum is at least any grid maximum over u, so this is the stricter
-    check.  The denominator is positive everywhere on the grid, and the
-    minimum stays above sqrt(2).
-    """
-    if grid < 10:
-        raise ValueError(f"grid must be >= 10, got {grid}")
-    ab = np.logspace(-2.0, 1.0, grid)
-    a = ab[:, None, None]
-    b = ab[None, :, None]
-    w = np.linspace(0.0, 1.0, grid)[None, None, :]
-    num = (a * a + b * b + 1.0)[:, :, 0]
-    dmax = (np.sqrt(a * a + a * a * b * b * (1.0 - w * w)) + b * w).max(axis=2)
-    return float((num / dmax).min())

@@ -7,6 +7,9 @@ Both are BohrInstance.from_gap with a rank-one gap and the shift as the
 sequence.  The remark family produces 2x2 relaxed-mode instances that
 break the inequality at any requested radius above 1/3, showing 1/3
 cannot be improved once triangularity is dropped.
+
+Beside the sine family sits calculus_claim_oracle, a grid check of the
+paper's order-3 calculus claim that a ratio stays at or above sqrt(2).
 """
 
 from __future__ import annotations
@@ -90,6 +93,28 @@ def sine_witness(n: int) -> BohrInstance:
         x.append(t * x[-1] - x[-2])
     x = np.array(x[1:] + x[n // 2 : 0 : -1])
     return BohrInstance.from_gap(np.outer(x, x), shift, 2.0)
+
+
+def calculus_claim_oracle(grid: int) -> float:
+    """Grid minimum of (a^2+b^2+1)/(a u + a b sqrt((1-u^2)(1-w^2)) + b w),
+    the oracle for the paper's order-3 calculus claim.
+
+    a and b range over a log-spaced grid on [1e-2, 10] and w over a
+    uniform grid on [0, 1]; u is maximized exactly over [0, 1], since
+    max_u a u + c sqrt(1-u^2) = sqrt(a^2 + c^2) for c >= 0.  The exact
+    maximum is at least any grid maximum over u, so this is the stricter
+    check.  The denominator is positive everywhere on the grid, and the
+    minimum stays above sqrt(2).
+    """
+    if grid < 10:
+        raise ValueError(f"grid must be >= 10, got {grid}")
+    ab = np.logspace(-2.0, 1.0, grid)
+    a = ab[:, None, None]
+    b = ab[None, :, None]
+    w = np.linspace(0.0, 1.0, grid)[None, None, :]
+    num = (a * a + b * b + 1.0)[:, :, 0]
+    dmax = (np.sqrt(a * a + a * a * b * b * (1.0 - w * w)) + b * w).max(axis=2)
+    return float((num / dmax).min())
 
 
 def remark_parameters(r_target: float) -> tuple[float, int]:

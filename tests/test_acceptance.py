@@ -14,9 +14,9 @@ from bohrlab.cli import main as cli_main
 from bohrlab.hypotheses import check_relaxed_hypotheses, orthogonality_check
 from bohrlab.linalg import operator_norm, trace_norm
 from bohrlab.scalar import classical_verify, crossing_radius, moebius_series, scalar_bohr_sum
-from bohrlab.search import SearchConfig, calculus_claim_oracle, materialize, search
+from bohrlab.search import SearchConfig, materialize, search
 from bohrlab.series import BohrInstance, alpha_series, check_inequality, critical_radius
-from bohrlab.witnesses import embed, general_witness, remark_two_witness, sine_witness
+from bohrlab.witnesses import calculus_claim_oracle, embed, general_witness, remark_two_witness, sine_witness
 
 SQRT2 = math.sqrt(2.0)
 ONE_THIRD = 1.0 / 3.0

@@ -308,6 +308,29 @@ class TestDocumentErrors:
         assert_one_error_line(code, out, err)
         assert err.startswith(f"error: {field}: ")
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("matrix", ["A", "S", "sequence.matrix", "sequence.matrices[1]"])
+    def test_non_finite_entry_is_named(self, tmp_path, capsys, matrix, literal):
+        # json.load alone would read these literals as floats; the reader
+        # names the entry that holds one, like any other malformed entry
+        doc = instance_to_document(general_witness(2))
+        bad = [[[1.0, 0.0], [0.0, 0.0]], [[0.5, "@"], [1.0, 0.0]]]
+        if matrix == "sequence.matrix":
+            doc["sequence"]["matrix"] = bad
+        elif matrix == "sequence.matrices[1]":
+            doc["sequence"] = {"type": "list", "matrices": [doc["sequence"]["matrix"], bad]}
+        else:
+            doc[matrix] = bad
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(doc).replace('"@"', literal))
+        with pytest.raises(DocumentError) as got:
+            load_instance(str(path))
+        assert got.value.path == f"{matrix}[1][0]"
+        assert str(got.value) == f"{matrix}[1][0]: {literal} is not a finite number"
+        code, out, err = run_strict(["verify", str(path), "--r", "0.3"], capsys)
+        assert_one_error_line(code, out, err)
+        assert err == f"error: {matrix}[1][0]: {literal} is not a finite number\n"
+
 
 class TestBulkConversion:
     """The bulk document loader and writer against the per-entry reference."""
@@ -431,20 +454,23 @@ WRITER_SCALARS = [
     "", "a", "\u00e9t\u00e9", "\u65e5\u672c", "\U0001f600", "\x00\x1f\n\t\"\\/\x7f", "\u2028", Text("x\u00ff"),
 ]
 
-WRITER_SHAPES = [
-    [], (), {}, [[]], [{}], {"a": {}}, {"a": []}, ([1, (2.0,)], ()), Items([1.5, Items()]),
-    Table(b=Table(), a=[None]), {"": 0, "\u00e9\n": 1, Text("k"): Level.LOW},
+# each shape carries its own id, so deleting one relabels no other case;
+# a new shape takes a new id
+WRITER_SHAPES = {
+    "0": [], "1": (), "2": {}, "3": [[]], "4": [{}], "5": {"a": {}}, "6": {"a": []},
+    "7": ([1, (2.0,)], ()), "8": Items([1.5, Items()]), "9": Table(b=Table(), a=[None]),
+    "10": {"": 0, "\u00e9\n": 1, Text("k"): Level.LOW},
     # matrix literals as lists, and nodes shaped almost like them
-    [[[1.0, 2.0]]],
-    [[[1.0, -0.0], [5e-324, 1e308]], [[0.5, 0.25], [-1.5, 3.0]]],
-    [[[1, 2.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, True]]],
-    [[[np.float64(1.0), 2.0]]],
-    [[(1.0, 2.0)]],
-    [([1.0, 2.0],)],
-    [[[1.0, 2.0, 3.0]]],
-    [[[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0], [7.0, 8.0]]], [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]],
-    [[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0]]],
-]
+    "11": [[[1.0, 2.0]]],
+    "12": [[[1.0, -0.0], [5e-324, 1e308]], [[0.5, 0.25], [-1.5, 3.0]]],
+    "13": [[[1, 2.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, True]]],
+    "14": [[[np.float64(1.0), 2.0]]],
+    "15": [[(1.0, 2.0)]],
+    "16": [([1.0, 2.0],)],
+    "17": [[[1.0, 2.0, 3.0]]],
+    "18": [[[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0], [7.0, 8.0]]], [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]],
+    "19": [[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0]]],
+}
 
 
 def package_writes(obj):
@@ -496,7 +522,7 @@ class TestWriter:
         self.assert_written_or_refused(obj)
         self.assert_written_or_refused([obj, {"v": obj}])
 
-    @pytest.mark.parametrize("obj", WRITER_SHAPES, ids=range(len(WRITER_SHAPES)))
+    @pytest.mark.parametrize("obj", WRITER_SHAPES.values(), ids=WRITER_SHAPES.keys())
     def test_containers_and_literals(self, obj):
         self.assert_written_or_refused(obj)
         self.assert_written_or_refused({"deep": [obj, {"deeper": obj}]})

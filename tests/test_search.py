@@ -11,13 +11,12 @@ from bohrlab.search import (
     NotContractionError,
     NotPSDError,
     SearchConfig,
-    calculus_claim_oracle,
     materialize,
     objective,
     search,
 )
 from bohrlab.series import alpha_series, critical_radius
-from bohrlab.witnesses import general_witness, sine_witness
+from bohrlab.witnesses import calculus_claim_oracle, general_witness, sine_witness
 
 SQRT2 = math.sqrt(2.0)
 # the module itself: the package attribute `bohrlab.search` is the function
@@ -45,16 +44,23 @@ def optimum(n):
     return 1.0 / (1.0 + 2.0 * math.cos(math.pi / (n + 1)))
 
 
-def serial_anderson(n, seed, index, max_iters, min_step):
+# cases of test_instance_is_the_best_step whose winner's last step is
+# 4e-3 to 1.9e-2 worse than its best one
+LAST_STEP_WORSE = {(3, 4, 8), (4, 4, 10), (5, 9, 10), (6, 4, 12)}
+
+
+def serial_anderson(n, seed, index, max_iters, min_step, rho=None):
     """One restart as a plain loop on 1-d and 2-d arrays: ADMM with
     safeguarded type-II Anderson mixing, each step scored and mixed as a
     batch of one.  The reference that the lockstep search must match bit
-    for bit.
+    for bit.  The penalty rho defaults to the search's n^2/16.
 
     Returns (best value, iterations, evaluations, stop reason, rejected
     Anderson points).
     """
     memory = 5
+    if rho is None:
+        rho = n * n / 16.0
     up, down = np.triu_indices(n, 1)
     M = np.zeros((n, n), dtype=np.complex128)
     M[up, down] = np.random.default_rng([seed, index]).standard_normal(n * (n - 1)).view(complex)
@@ -69,7 +75,7 @@ def serial_anderson(n, seed, index, max_iters, min_step):
         x = np.ascontiguousarray(np.linalg.eigh(M + M.conj().T, UPLO="U")[1][:, -1])
         value = objective(x[None], M[None])[0]
         best = min(best, value)
-        g_M = np.triu(Y - Lam + x[:, None] @ (x.conj() / n)[None, :], 1)
+        g_M = np.triu(Y - Lam + x[:, None] @ (x.conj() / rho)[None, :], 1)
         Z = g_M + Lam
         W, s, Vh = np.linalg.svd(Z)
         g_Lam = (W * np.maximum(s - 1.0, 0.0)) @ Vh
@@ -307,21 +313,22 @@ class TestSearch:
 
     @pytest.mark.parametrize(
         "n, restarts, max_iters",
-        [(2, 3, 2000), (3, 2, 300), (3, 2, 40), (3, 2, 36), (4, 3, 2000), (5, 4, 2000)],
+        [(2, 3, 2000), (3, 2, 300), (3, 2, 40), (3, 2, 36), (3, 2, 37), (4, 3, 2000), (5, 4, 2000)],
     )
     def test_lockstep_matches_serial_restarts(self, n, restarts, max_iters):
-        # n=2 converges in three plain steps; at max_iters=36 one n=3
-        # restart converges and the other stops at max_iters; every other
-        # restart converges after its own step count, and from n=3 on the
-        # safeguard rejects Anderson points at steps that differ between
-        # the restarts of a batch
+        # n=2 converges in three plain steps; at max_iters=37 one n=3
+        # restart converges on the last step and the other stops at
+        # max_iters, and at 36 and 40 one or both stop at max_iters; every
+        # other restart converges after its own step count, and from n=3 on
+        # the safeguard rejects Anderson points at steps that differ
+        # between the restarts of a batch
         cfg = SearchConfig(n=n, restarts=restarts, max_iters=max_iters, seed=4)
         est = search(cfg)
         for i, rec in enumerate(est.per_restart):
             ref = serial_anderson(n, cfg.seed, i, cfg.max_iters, search_module._MIN_STEP)
             assert (rec.best, rec.iterations, rec.evaluations, rec.stop) == ref[:4]
-        if max_iters == 36:
-            assert [rec.stop for rec in est.per_restart] == ["max_iters", "converged"]
+        if max_iters == 37:
+            assert [rec.stop for rec in est.per_restart] == ["converged", "max_iters"]
 
     def test_safeguard_fires_and_is_matched(self):
         # the restarts reject Anderson points at different steps, so their
@@ -370,6 +377,25 @@ class TestSearch:
         assert all(rec.iterations < cfg.max_iters for rec in est.per_restart)
         assert [rec.stop for rec in est.per_restart] == ["converged"] * 4
 
+    def test_order_eight_converges_in_few_steps(self):
+        # the penalty n^2/16 takes 437-496 steps here; the penalty n took
+        # 548-694, so a bound of 540 fails if the rule loses its gain
+        for seed in (1, 2, 3, 4):
+            est = search(SearchConfig(n=8, restarts=2, seed=seed))
+            assert [rec.stop for rec in est.per_restart] == ["converged"] * 2
+            assert max(rec.iterations for rec in est.per_restart) <= 540
+
+    def test_order_sixteen_keeps_the_penalty_n(self):
+        # n^2/16 is n at n = 16, so every step there is the one the
+        # penalty n took; 300 unconverged steps amplify a flipped last bit
+        # anywhere to about 1e-4, so the check is bit for bit
+        cfg = SearchConfig(n=16, restarts=2, max_iters=300, seed=1)
+        est = search(cfg)
+        refs = [serial_anderson(16, cfg.seed, i, cfg.max_iters, search_module._MIN_STEP, rho=16) for i in range(2)]
+        assert [(r.best, r.iterations, r.evaluations, r.stop) for r in est.per_restart] == [
+            ref[:4] for ref in refs
+        ]
+
     def test_order_sixteen_converges_to_the_optimum(self):
         # plain ADMM stops at max_iters here, 2e-4 above the optimum
         est = search(SearchConfig(n=16, restarts=2, max_iters=20000, seed=1))
@@ -414,14 +440,22 @@ class TestSearch:
 
     @pytest.mark.parametrize(
         "n, seed, max_iters",
-        [(3, 1, 20), (4, 3, 5), (5, 3, 20), (6, 7, 40), (3, 1, 12), (4, 5, 20), (5, 1, 8), (6, 7, 20)],
+        [
+            (3, 1, 20), (4, 3, 5), (5, 3, 20), (6, 7, 40), (3, 1, 12), (4, 5, 20), (5, 1, 8), (6, 7, 20),
+            (3, 4, 8), (4, 4, 10), (5, 9, 10), (6, 4, 12),
+        ],
     )
     def test_instance_is_the_best_step(self, n, seed, max_iters):
-        # in the last four cases the winner's last step is 4e-3 to 9e-2
-        # worse than its best one
-        est = search(SearchConfig(n=n, restarts=2, max_iters=max_iters, seed=seed))
+        seen = []
+        est = search(SearchConfig(n=n, restarts=2, max_iters=max_iters, seed=seed), eval_hook=seen.append)
         inst_r = critical_radius(alpha_series(est.instance), float(np.trace(est.instance.S).real))
         assert abs(inst_r - est.r_star) <= 1e-9
+        if (n, seed, max_iters) in LAST_STEP_WORSE:
+            # both restarts ran every step, so the last two values are
+            # their last steps, in restart order
+            assert len(seen) == 2 * max_iters
+            winner = est.per_restart_best.index(est.r_star)
+            assert seen[-2 + winner] - est.r_star > 1e-3
 
     def test_never_beats_the_sine_family(self):
         # the sine witness radius 1/(1 + 2 cos(pi/(n+1))) is the order-n minimum
